@@ -143,6 +143,21 @@ def _fb_config(args) -> FbConfig:
     return FbConfig(pq=pq, nbuckets=nb, width=w)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
+
+
 def _add_model_flags(p, with_n=True):
     if with_n:
         p.add_argument("--n", type=int, required=True, help="vertex count")
@@ -243,6 +258,8 @@ def _cmd_sssp(args) -> int:
 
 def _cmd_verify(args) -> int:
     fb_cfg = _fb_config(args)
+    if args.graph is None and args.n is None:
+        raise CliError("either --n or --graph is required")
     seed = seed_derivation(args.seed, 0)
     if args.graph:
         graph = load(args.graph)
@@ -399,7 +416,8 @@ def _cmd_bench_verify_compare(args) -> int:
         tree = dijkstra(graph, 0)
         fwd = verify_forward_only(graph, tree)
         fb = verify_fb(graph, tree)
-        assert fwd.accepted and fb.accepted, "true tree rejected"
+        if not (fwd.accepted and fb.accepted):
+            raise AssertionError("true tree rejected")
         rows.append({"trial": t, "seed": seed,
                      "forward_only_examined": fwd.edges_examined,
                      "fb_examined": fb.edges_examined})
@@ -442,8 +460,10 @@ def build_parser() -> _Parser:
                    "instead of generating one per trial")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
     p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=int, default=None, help="bucket count")
-    p.add_argument("--bucket-w", type=float, default=None, help="bucket width")
+    p.add_argument("--bucket-b", type=_positive_int, default=None,
+                   help="bucket count")
+    p.add_argument("--bucket-w", type=_positive_float, default=None,
+                   help="bucket width")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--json", default=None, help="write JSON report here")
@@ -458,18 +478,18 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["full", "forward", "fb"], default="fb")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
     p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=int, default=None)
-    p.add_argument("--bucket-w", type=float, default=None)
+    p.add_argument("--bucket-b", type=_positive_int, default=None)
+    p.add_argument("--bucket-w", type=_positive_float, default=None)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("apsp", help="all-pairs shortest paths")
     _add_model_flags(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=int, default=None)
-    p.add_argument("--bucket-w", type=float, default=None)
+    p.add_argument("--bucket-b", type=_positive_int, default=None)
+    p.add_argument("--bucket-w", type=_positive_float, default=None)
     p.add_argument("--dump", default=None,
                    help="write the distance matrix here (16-byte header: "
                         "8-byte magic + little-endian uint64 n; then "
@@ -498,8 +518,8 @@ def build_parser() -> _Parser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--algo", choices=["spira", "fb"], default="fb")
     b.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    b.add_argument("--bucket-b", type=int, default=None)
-    b.add_argument("--bucket-w", type=float, default=None)
+    b.add_argument("--bucket-b", type=_positive_int, default=None)
+    b.add_argument("--bucket-w", type=_positive_float, default=None)
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--json", default=None)
     b.add_argument("--csv", default=None)

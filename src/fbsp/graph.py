@@ -165,15 +165,49 @@ class SortedDigraph:
         return f"SortedDigraph(n={self.n}, edges={self.num_edges}, {kind})"
 
 
-def _complete_row_costs(n: int, u: int, model: WeightModel, directed: bool,
-                        base: np.uint64, targets: np.ndarray) -> np.ndarray:
-    if directed:
-        idx = np.uint64(u) * np.uint64(n) + targets.astype(np.uint64)
-    else:
-        lo = np.minimum(targets, u).astype(np.uint64)
-        hi = np.maximum(targets, u).astype(np.uint64)
-        idx = lo * np.uint64(n) + hi
-    return _costs_from_uniform(_edge_uniform(base, idx), model)
+# Generation works on blocks of about this many cost cells: small enough for
+# the hashing temporaries and the sort to stay in cache.
+_BLOCK_CELLS = 2 ** 14
+
+
+def _row_blocks(n: int):
+    """Consecutive row ranges (r0, r1) covering [0, n), about _BLOCK_CELLS
+    off-diagonal cells each."""
+    h = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, h):
+        yield r0, min(r0 + h, n)
+
+
+def _skip_diagonal(j, u):
+    """Vertex in column j of row u of a (rows, n-1) block without diagonal."""
+    return j + (j >= u)
+
+
+def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
+                 base: np.uint64, incoming: bool = False) -> np.ndarray:
+    """Costs of the off-diagonal cells of rows r0..r1-1 as an (r1-r0, n-1)
+    array: column j of row u is the edge from u to v = _skip_diagonal(j, u),
+    or from v to u when ``incoming``."""
+    u = np.arange(r0, r1, dtype=np.uint64)[:, None]
+    v = _skip_diagonal(np.arange(n - 1, dtype=np.uint64), u)
+    if incoming:
+        u, v = v, u
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    return _costs_from_uniform(_edge_uniform(base, u * np.uint64(n) + v), model)
+
+
+def _sort_block(w: np.ndarray, r0: int, ends: np.ndarray, costs: np.ndarray) -> None:
+    """Sort each row of the cost block ``w`` (rows r0.., diagonal skipped)
+    into the views ``ends`` (vertices) and ``costs``, ties in vertex order."""
+    h, deg = w.shape
+    order = np.argsort(w, axis=1)
+    costs[:] = np.take(w, order + np.arange(h)[:, None] * deg)
+    # the default sort is unstable: re-sort rows with ties, stably
+    for i in np.flatnonzero((costs[:, 1:] == costs[:, :-1]).any(axis=1)):
+        order[i] = np.argsort(w[i], kind="stable")
+        costs[i] = w[i, order[i]]
+    ends[:] = _skip_diagonal(order, np.arange(r0, r0 + h)[:, None])
 
 
 def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDigraph:
@@ -191,38 +225,21 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     base = _stream_base(model.seed)
 
     deg = n - 1
-    if deg == 0:
-        empty_ptr = np.zeros(2, dtype=np.int64)
-        none32 = np.empty(0, dtype=np.int32)
-        none64 = np.empty(0, dtype=np.float64)
-        return SortedDigraph(1, directed, empty_ptr, none32, none64,
-                             empty_ptr.copy(), none32.copy(), none64.copy())
-    out_ptr = np.arange(0, n * deg + 1, deg, dtype=np.int64)
-    out_to = np.empty(n * deg, dtype=np.int32)
-    out_w = np.empty(n * deg, dtype=np.float64)
-    in_ptr = out_ptr.copy()
-    in_from = np.empty(n * deg, dtype=np.int32)
-    in_w = np.empty(n * deg, dtype=np.float64)
-
-    all_v = np.arange(n, dtype=np.int32)
-    for u in range(n):
-        others = np.concatenate([all_v[:u], all_v[u + 1:]])
-        w = _complete_row_costs(n, u, model, directed, base, others)
-        order = np.argsort(w, kind="stable")  # ties fall back to vertex order
-        lo = u * deg
-        out_to[lo:lo + deg] = others[order]
-        out_w[lo:lo + deg] = w[order]
+    out_to, in_from = np.empty((2, n, deg), dtype=np.int32)
+    out_w, in_w = np.empty((2, n, deg), dtype=np.float64)
+    for r0, r1 in _row_blocks(n):
+        w = _block_costs(n, r0, r1, model, directed, base)
+        _sort_block(w, r0, out_to[r0:r1], out_w[r0:r1])
         if directed:
-            # incoming edge (v, u) has counter v*n + u
-            idx = others.astype(np.uint64) * np.uint64(n) + np.uint64(u)
-            win = _costs_from_uniform(_edge_uniform(base, idx), model)
-        else:
-            win = w
-        order = np.argsort(win, kind="stable")
-        in_from[lo:lo + deg] = others[order]
-        in_w[lo:lo + deg] = win[order]
+            w = _block_costs(n, r0, r1, model, directed, base, incoming=True)
+            _sort_block(w, r0, in_from[r0:r1], in_w[r0:r1])
+    if not directed:  # symmetric costs: the in-lists equal the out-lists
+        in_from[:] = out_to
+        in_w[:] = out_w
 
-    return SortedDigraph(n, directed, out_ptr, out_to, out_w, in_ptr, in_from, in_w)
+    ptr = np.arange(n + 1, dtype=np.int64) * deg
+    return SortedDigraph(n, directed, ptr, out_to.ravel(), out_w.ravel(),
+                         ptr.copy(), in_from.ravel(), in_w.ravel())
 
 
 def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> np.ndarray:
@@ -232,11 +249,11 @@ def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> n
     if model.kind == EXPLICIT:
         raise GraphError("complete_cost_matrix needs a samplable weight model")
     base = _stream_base(model.seed)
-    all_v = np.arange(n, dtype=np.int32)
     m = np.zeros((n, n))
-    for u in range(n):
-        others = np.concatenate([all_v[:u], all_v[u + 1:]])
-        m[u, others] = _complete_row_costs(n, u, model, directed, base, others)
+    col = np.arange(n - 1)
+    for r0, r1 in _row_blocks(n):
+        u = np.arange(r0, r1)[:, None]
+        m[u, _skip_diagonal(col, u)] = _block_costs(n, r0, r1, model, directed, base)
     return m
 
 

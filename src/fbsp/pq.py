@@ -8,7 +8,8 @@ return non-decreasing keys, and the two implementations extract the same key
 sequence for any operation trace (items with equal keys may swap places).
 
 Keys are non-negative finite floats.  ``min_key`` returns ``math.inf`` on an
-empty queue.
+empty queue.  An insert that breaks the contract raises ``AssertionError``;
+the check is an explicit ``raise``, so it holds under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ class BinaryHeapQueue(MonotoneQueue):
         return len(self._heap)
 
     def insert(self, item, key):
-        assert key >= self._last, "monotone-use contract violated"
+        if key < self._last:
+            raise AssertionError("monotone-use contract violated")
         self._heap.push(key, item)
         self.stats.inserts += 1
         self.stats.heap_comparisons = self._cmps[0]
@@ -178,8 +180,8 @@ class BucketQueue(MonotoneQueue):
     def __init__(self, nbuckets: int, width: float):
         if nbuckets < 1:
             raise ValueError("need at least one bucket")
-        if not (width > 0):
-            raise ValueError("bucket width must be positive")
+        if not (0 < width < math.inf):
+            raise ValueError("bucket width must be finite and positive")
         self.B = int(nbuckets)
         self.W = float(width)
         self._pending: List[Optional[list]] = [None] * self.B
@@ -209,7 +211,8 @@ class BucketQueue(MonotoneQueue):
         return j if j < self._nsubs else self._nsubs - 1
 
     def insert(self, item, key):
-        assert key >= self._last, "monotone-use contract violated"
+        if key < self._last:
+            raise AssertionError("monotone-use contract violated")
         self._size += 1
         self.stats.inserts += 1
         i = self._bucket_index(key)
@@ -224,8 +227,8 @@ class BucketQueue(MonotoneQueue):
             if len(heap) > self.stats.max_subbucket_size:
                 self.stats.max_subbucket_size = len(heap)
             return
-        assert i >= self._a or self._active == -1, \
-            "insert below the active bucket"
+        if i < self._a and self._active != -1:
+            raise AssertionError("insert below the active bucket")
         bucket = self._pending[i]
         if bucket is None:
             bucket = self._pending[i] = []

@@ -91,7 +91,8 @@ class FbConfig:
             return BinaryHeapQueue()
         if self.pq == "bucket":
             nb, w = bucket_defaults(n)
-            return BucketQueue(self.nbuckets or nb, self.width or w)
+            return BucketQueue(nb if self.nbuckets is None else self.nbuckets,
+                               w if self.width is None else self.width)
         raise ValueError(f"unknown queue kind {self.pq!r}")
 
 
@@ -120,7 +121,9 @@ def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:
         if sel.any():
             better_v = to[sel]
             better_d = nd[sel]
-            dist[better_v] = better_d
+            # reversed, so that the first (cheapest) copy of a multi-edge is
+            # written last and wins
+            dist[better_v[::-1]] = better_d[::-1]
             parent[better_v] = u
             for v, dv in zip(better_v.tolist(), better_d.tolist()):
                 heappush(heap, (dv, v))

@@ -12,9 +12,11 @@ c[u,v] < d[v] - d[u], where d is the tree distance.  Three checkers:
   An edge outside both windows satisfies c > (M - d[u]) + (d[v] - M)
   = d[v] - d[u], so checking the windows alone is sound and complete.
 
-All three agree on accept/reject for every input.  Comparisons allow a
-relative slack of 1e-12 so that a tree's own edges, whose distances were
-produced by floating-point accumulation, never self-report as violations.
+Each also rejects a tree whose reported ``dist`` differs from the distances
+along its own edges.  All three agree on accept/reject for every input.
+Comparisons allow a relative slack of 1e-12 so that a tree's own edges,
+whose distances were produced by floating-point accumulation, never
+self-report as violations.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class VerifyReport:
     witness: Optional[Tuple[int, int, float, float, float]] = None  # u, v, c, d_u, d_v
     max_distance: float = math.nan
     median: float = math.nan
+    wrong_dist: Optional[int] = None  # first vertex whose tree.dist is off
 
     def as_dict(self) -> dict:
         return {
@@ -50,6 +53,7 @@ class VerifyReport:
             "witness": list(self.witness) if self.witness else None,
             "max_distance": self.max_distance if math.isfinite(self.max_distance) else None,
             "median": self.median if math.isfinite(self.median) else None,
+            "wrong_dist": self.wrong_dist,
         }
 
 
@@ -142,6 +146,19 @@ def select_median(dist: Sequence[float]) -> float:
             return pivot
 
 
+def _report(tree, d: np.ndarray, examined: int, witness, **summary
+            ) -> VerifyReport:
+    """Verdict on ``tree``: accepted iff no edge violates the rebuilt
+    distances ``d`` and the reported ``tree.dist`` matches them."""
+    reported = np.asarray(tree.dist, dtype=np.float64)
+    if reported.shape != d.shape:
+        raise VerifyError("dist array has wrong length")
+    off = np.flatnonzero(~np.isclose(reported, d, rtol=_REL_EPS, atol=_REL_EPS))
+    wrong = int(off[0]) if off.shape[0] else None
+    return VerifyReport(witness is None and wrong is None, examined, witness,
+                        wrong_dist=wrong, **summary)
+
+
 def _first_violation(d_to: np.ndarray, du: float, w: np.ndarray) -> int:
     """Index of the first edge with c < d[v] - d[u] beyond rounding slack,
     or -1.  ``du`` must be finite; d[v] = inf is a genuine violation."""
@@ -166,7 +183,7 @@ def verify_full(graph: SortedDigraph, tree) -> VerifyReport:
         i = _first_violation(d[to], du, w)
         if i >= 0:
             witness = (u, int(to[i]), float(w[i]), float(du), float(d[to[i]]))
-    return VerifyReport(witness is None, examined, witness, max_distance=D)
+    return _report(tree, d, examined, witness, max_distance=D)
 
 
 def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
@@ -190,7 +207,7 @@ def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
             examined -= upto - (i + 1)  # stopped at the violation
             witness = (u, int(to[i]), float(w[i]), float(du), float(d[to[i]]))
             break
-    return VerifyReport(witness is None, examined, witness, max_distance=D)
+    return _report(tree, d, examined, witness, max_distance=D)
 
 
 def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
@@ -235,5 +252,4 @@ def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
                 witness = (int(seg_f[i]), v, float(seg_w[i]),
                            float(d[seg_f[i]]), float(dv))
                 break
-    return VerifyReport(witness is None, examined, witness,
-                        max_distance=D, median=M)
+    return _report(tree, d, examined, witness, max_distance=D, median=M)

@@ -139,3 +139,25 @@ def test_end_to_end_determinism(tmp_path):
     assert main(args + ["--csv", str(a)]) == 0
     assert main(args + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bad_bucket_parameters_exit_1(capsys):
+    for flags in (["--bucket-b", "0"], ["--bucket-b", "-4"],
+                  ["--bucket-w", "0"], ["--bucket-w", "inf"],
+                  ["--bucket-w", "nan"], ["--bucket-b", "0", "--bucket-w", "0"]):
+        capsys.readouterr()
+        assert main(["sssp", "--n", "50"] + flags) == 1
+        err = capsys.readouterr().err
+        assert "argument --bucket-" in err
+        assert "NaN" not in err
+
+
+def test_apsp_rejects_negative_threads(capsys):
+    assert main(["apsp", "--n", "20", "--threads", "-3"]) == 1
+    assert "argument --threads" in capsys.readouterr().err
+    assert main(["apsp", "--n", "20", "--threads", "0"]) == 1
+
+
+def test_verify_without_n_or_graph_exits_1(capsys):
+    assert main(["verify", "--seed", "1"]) == 1
+    assert "either --n or --graph is required" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbsp.graph import (EXPONENTIAL, GraphError, WeightModel,
-                        build_sorted_adjacency, check_invariants,
+from fbsp.graph import (_BLOCK_CELLS, EXPONENTIAL, GraphError, SortedDigraph,
+                        WeightModel, _costs_from_uniform, _edge_uniform,
+                        _stream_base, build_sorted_adjacency, check_invariants,
                         complete_cost_matrix, gen_complete, load, save)
 
 
@@ -44,6 +45,63 @@ def test_undirected_costs_are_symmetric():
     g = gen_complete(12, WeightModel(EXPONENTIAL, seed=5), directed=False)
     m = g.cost_matrix()
     assert np.array_equal(m, m.T)
+
+
+def reference_gen_complete(n, model, directed=True):
+    """The row-at-a-time generator with stable sorts, frozen as the
+    definition of the graph that gen_complete must build."""
+    base = _stream_base(model.seed)
+    deg = n - 1
+    ptr = np.arange(n + 1, dtype=np.int64) * deg
+    out_to = np.empty(n * deg, dtype=np.int32)
+    out_w = np.empty(n * deg, dtype=np.float64)
+    in_from = np.empty(n * deg, dtype=np.int32)
+    in_w = np.empty(n * deg, dtype=np.float64)
+    all_v = np.arange(n, dtype=np.int32)
+    for u in range(n):
+        others = np.concatenate([all_v[:u], all_v[u + 1:]])
+        if directed:
+            idx = np.uint64(u) * np.uint64(n) + others.astype(np.uint64)
+        else:
+            lo = np.minimum(others, u).astype(np.uint64)
+            hi = np.maximum(others, u).astype(np.uint64)
+            idx = lo * np.uint64(n) + hi
+        w = _costs_from_uniform(_edge_uniform(base, idx), model)
+        order = np.argsort(w, kind="stable")
+        lo = u * deg
+        out_to[lo:lo + deg] = others[order]
+        out_w[lo:lo + deg] = w[order]
+        if directed:
+            idx = others.astype(np.uint64) * np.uint64(n) + np.uint64(u)
+            w = _costs_from_uniform(_edge_uniform(base, idx), model)
+        order = np.argsort(w, kind="stable")
+        in_from[lo:lo + deg] = others[order]
+        in_w[lo:lo + deg] = w[order]
+    return SortedDigraph(n, directed, ptr, out_to, out_w, ptr.copy(),
+                         in_from, in_w)
+
+
+# 300 is not a multiple of the block height, so the last block is short
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200, 300])
+@pytest.mark.parametrize("kind,shape", [("exp", None), ("uniform", None),
+                                        ("weibull", 0.5)])
+@pytest.mark.parametrize("directed", [True, False])
+def test_generator_matches_frozen_reference(n, kind, shape, directed):
+    assert 300 % max(1, _BLOCK_CELLS // 300) != 0
+    model = WeightModel(kind, seed=3, shape=shape)
+    assert gen_complete(n, model, directed) == \
+        reference_gen_complete(n, model, directed)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_generator_keeps_tied_costs_in_vertex_order(directed):
+    # small costs underflow to 0.0 at this shape: hundreds of finite ties
+    model = WeightModel("weibull", seed=3, shape=150)
+    g = gen_complete(300, model, directed)
+    w = g.out_w.reshape(300, 299)
+    assert np.all(np.isfinite(w))
+    assert (w[:, 1:] == w[:, :-1]).sum() > 100
+    assert g == reference_gen_complete(300, model, directed)
 
 
 def test_cost_matrix_matches_generator():

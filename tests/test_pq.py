@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -187,3 +190,20 @@ def test_bucket_defaults():
     assert w == pytest.approx(1.0 / (1000 * math.log(1000)))
     nb, w = bucket_defaults(1)
     assert nb == 1 and w == 1.0
+
+
+def test_monotone_contract_holds_without_asserts():
+    # python -O strips assert statements; the contract check must survive
+    code = ("from fbsp.pq import BinaryHeapQueue\n"
+            "q = BinaryHeapQueue()\n"
+            "q.insert('a', 5.0)\n"
+            "q.extract_min()\n"
+            "try:\n"
+            "    q.insert('b', 1.0)\n"
+            "except AssertionError:\n"
+            "    print('refused')\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "refused"

@@ -294,3 +294,19 @@ def test_source_out_of_range():
     for fn in (dijkstra, spira, fb_sssp):
         with pytest.raises(ValueError):
             fn(g, 7)
+
+
+def test_multigraph_keeps_the_cheapest_copy():
+    g = build_sorted_adjacency([(0, 1, 1.0), (0, 1, 5.0)], 2)
+    for tree in (dijkstra(g, 0), spira(g, 0)[0], fb_sssp(g, 0)[0]):
+        assert tree.dist[1] == 1.0
+        assert tree.parent[1] == 0
+
+
+def test_make_queue_keeps_explicit_values_and_rejects_bad_ones():
+    q = FbConfig(nbuckets=3, width=0.5).make_queue(100)
+    assert (q.B, q.W) == (3, 0.5)
+    for nb, w in ((0, None), (-2, None), (None, 0.0), (None, -1.0),
+                  (None, math.inf), (None, math.nan)):
+        with pytest.raises(ValueError):
+            FbConfig(nbuckets=nb, width=w).make_queue(100)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbsp.graph import EXPONENTIAL, WeightModel, build_sorted_adjacency, gen_complete
-from fbsp.sssp import dijkstra, fb_sssp
+from fbsp.sssp import ShortestPathTree, dijkstra, fb_sssp
 from fbsp.verify import (VerifyError, select_median, tree_distances,
                          verify_fb, verify_forward_only, verify_full)
 
@@ -191,3 +191,26 @@ def test_fb_trees_verify_clean():
         tree, _ = fb_sssp(g, 0)
         assert verify_full(g, tree).accepted
         assert verify_fb(g, tree).accepted
+
+
+def test_verifiers_reject_a_wrong_reported_distance():
+    g = gen_complete(200, WeightModel(EXPONENTIAL, seed=0))
+    tree, _ = fb_sssp(g, 0)
+    tree.dist = tree.dist.copy()
+    tree.dist[5] += 1.0
+    for verifier in (verify_full, verify_forward_only, verify_fb):
+        report = verifier(g, tree)
+        assert not report.accepted
+        assert report.witness is None  # every edge is fine; dist is not
+        assert report.wrong_dist == 5
+
+
+def test_verifiers_reject_the_costlier_copy_of_a_multi_edge():
+    # the tree dijkstra returned here before it kept the cheapest copy
+    g = build_sorted_adjacency([(0, 1, 1.0), (0, 1, 5.0)], 2)
+    tree = ShortestPathTree(0, np.array([-1, 0]), np.array([0.0, 5.0]))
+    for verifier in (verify_full, verify_forward_only, verify_fb):
+        report = verifier(g, tree)
+        assert not report.accepted
+        assert report.wrong_dist == 1
+    assert verify_fb(g, dijkstra(g, 0)).accepted
