@@ -109,24 +109,26 @@ def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:
     parent = np.full(n, -1, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    # an entry carries the parent it was reached from; a vertex takes its
+    # dist and parent when it settles, from the cheapest entry, so a
+    # multi-edge's costlier copy overwriting the tentative dist is harmless
+    heap: List[Tuple[float, int, int]] = [(0.0, source, -1)]
     while heap:
-        du, u = heappop(heap)
+        du, u, p = heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        dist[u] = du
+        parent[u] = p
         to, w = graph.out_edges(u)
         nd = du + w
         sel = nd < dist[to]
         if sel.any():
             better_v = to[sel]
             better_d = nd[sel]
-            # reversed, so that the first (cheapest) copy of a multi-edge is
-            # written last and wins
-            dist[better_v[::-1]] = better_d[::-1]
-            parent[better_v] = u
+            dist[better_v] = better_d
             for v, dv in zip(better_v.tolist(), better_d.tolist()):
-                heappush(heap, (dv, v))
+                heappush(heap, (dv, v, u))
     return ShortestPathTree(source, parent, dist)
 
 

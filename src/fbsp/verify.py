@@ -153,8 +153,11 @@ def _report(tree, d: np.ndarray, examined: int, witness, **summary
     reported = np.asarray(tree.dist, dtype=np.float64)
     if reported.shape != d.shape:
         raise VerifyError("dist array has wrong length")
-    off = np.flatnonzero(~np.isclose(reported, d, rtol=_REL_EPS, atol=_REL_EPS))
-    wrong = int(off[0]) if off.shape[0] else None
+    wrong = None
+    off = np.flatnonzero(reported != d)  # mostly empty: same sums, same order
+    if off.shape[0]:
+        off = off[~np.isclose(reported[off], d[off], rtol=_REL_EPS, atol=_REL_EPS)]
+        wrong = int(off[0]) if off.shape[0] else None
     return VerifyReport(witness is None and wrong is None, examined, witness,
                         wrong_dist=wrong, **summary)
 

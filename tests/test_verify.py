@@ -164,24 +164,27 @@ def test_verify_fb_rejects_non_spanning_input():
 def test_three_way_agreement_on_tree_edge_perturbations():
     # lowering a tree edge re-roots part of the tree; the result may or may
     # not remain a valid SPT, but all three verifiers must agree on it
-    rng = np.random.default_rng(77)
-    agree = 0
-    for seed in range(12):
+    outcomes = set()
+    for seed in range(4):
         n = 40
         g, tree = true_tree(n=n, seed=seed)
         rec = g.edge_list()
         edges = list(zip(rec.u.tolist(), rec.v.tolist(), rec.cost.tolist()))
-        v = int(rng.integers(1, n))
-        u = int(tree.parent[v])
-        edges = [(a, b, c * 0.5 if (a, b) == (u, v) else c)
-                 for a, b, c in edges]
-        g2 = build_sorted_adjacency(edges, n)
-        r_full = verify_full(g2, tree)
-        r_fwd = verify_forward_only(g2, tree)
-        r_fb = verify_fb(g2, tree)
-        assert r_full.accepted == r_fwd.accepted == r_fb.accepted
-        agree += 1
-    assert agree == 12
+        for v in range(1, n):
+            u = int(tree.parent[v])
+            g2 = build_sorted_adjacency(
+                [(a, b, c * 0.5 if (a, b) == (u, v) else c) for a, b, c in edges],
+                n)
+            # the tree carries the distances of its own edges in g2, so that
+            # a rejection can only come from an edge scan, not from tree.dist
+            tree2 = ShortestPathTree(0, tree.parent,
+                                     tree_distances(g2, tree.parent, 0))
+            reports = [verify(g2, tree2) for verify in
+                       (verify_full, verify_forward_only, verify_fb)]
+            assert all(r.wrong_dist is None for r in reports)
+            assert len({r.accepted for r in reports}) == 1, (seed, v)
+            outcomes.add(reports[0].accepted)
+    assert outcomes == {True, False}
 
 
 def test_fb_trees_verify_clean():
