@@ -2,9 +2,9 @@
 forward-backward single-source algorithm from every vertex.
 
 Accepts either a ready :class:`~fbsp.graph.SortedDigraph` or a dense cost
-matrix; in the latter case the sorted adjacency is built first with
-:func:`~fbsp.graph.build_sorted_adjacency` (bucket sort when the cost
-distribution is known).  Per-source runs are independent and may be spread
+matrix; in the latter case the sorted adjacency is built first, from the
+off-diagonal entries, with the same sort as
+:func:`~fbsp.graph.build_sorted_adjacency`.  Per-source runs are independent and may be spread
 over a thread pool; every run writes its own result row, so the output does
 not depend on scheduling.
 """
@@ -18,7 +18,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .graph import GraphError, SortedDigraph, WeightModel, build_sorted_adjacency
+from .graph import GraphError, SortedDigraph, sorted_adjacency_from_arrays
 from .sssp import FbConfig, ScanStats, fb_sssp
 
 
@@ -26,8 +26,7 @@ from .sssp import FbConfig, ScanStats, fb_sssp
 class ApspConfig:
     fb: FbConfig = field(default_factory=FbConfig)
     threads: int = 1
-    model: Optional[WeightModel] = None  # cost distribution, for bucket sort
-    directed: bool = True                # used when building from a matrix
+    directed: bool = True   # used when building from a matrix
 
 
 @dataclass
@@ -48,13 +47,9 @@ def _graph_from_matrix(costs: np.ndarray, config: ApspConfig) -> SortedDigraph:
         raise GraphError("cost matrix must be square")
     n = costs.shape[0]
     off = ~np.eye(n, dtype=bool)
-    vals = costs[off]
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-        raise GraphError("edge costs must be finite and non-negative")
     u, v = np.nonzero(off)
-    edges = zip(u.tolist(), v.tolist(), costs[u, v].tolist())
-    return build_sorted_adjacency(edges, n, directed=config.directed,
-                                  model=config.model)
+    return sorted_adjacency_from_arrays(u, v, costs[off], n,
+                                        directed=config.directed)
 
 
 def apsp(graph_or_costs: Union[SortedDigraph, np.ndarray],
@@ -62,6 +57,8 @@ def apsp(graph_or_costs: Union[SortedDigraph, np.ndarray],
     """Shortest-path distances between all pairs, one fb_sssp run per source."""
     if config is None:
         config = ApspConfig()
+    if config.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {config.threads}")
     t0 = time.perf_counter()
     if isinstance(graph_or_costs, SortedDigraph):
         graph = graph_or_costs

@@ -32,7 +32,6 @@ from . import oracle
 from .apsp import ApspConfig, apsp
 from .graph import (EXPONENTIAL, UNIFORM, WEIBULL, GraphError, SortedDigraph,
                     WeightModel, gen_complete, load, save)
-from .pq import BinaryHeapQueue
 from .sssp import FbConfig, dijkstra, fb_sssp, spira
 from .verify import (VerifyError, verify_fb, verify_forward_only, verify_full)
 
@@ -72,14 +71,7 @@ def _out_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -96,8 +88,8 @@ def _json_default(x):
 
 def _write_json(path: Optional[str], payload: dict) -> None:
     if path:
-        _atomic_write(_out_path(path), json.dumps(payload, indent=2,
-                                                  default=_json_default) + "\n")
+        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        _atomic_write(_out_path(path), text.encode("utf-8"))
 
 
 def _write_csv(path: Optional[str], header: List[str], rows: List[list]) -> None:
@@ -107,7 +99,7 @@ def _write_csv(path: Optional[str], header: List[str], rows: List[list]) -> None
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(_out_path(path), buf.getvalue())
+    _atomic_write(_out_path(path), buf.getvalue().encode("utf-8"))
 
 
 def _aggregate(rows: List[dict], keys: List[str]) -> dict:
@@ -124,23 +116,25 @@ def _aggregate(rows: List[dict], keys: List[str]) -> dict:
     return agg
 
 
-def _model_from_args(args) -> WeightModel:
+def _model_from_args(args, seed: int) -> WeightModel:
+    """The weight model the flags describe, seeded with ``seed``."""
     kind = {"exp": EXPONENTIAL, "uniform": UNIFORM, "weibull": WEIBULL}[args.dist]
-    shape = getattr(args, "shape", None)
+    shape = args.shape
     if kind != WEIBULL and shape is not None:
         raise CliError("--shape only applies to --dist weibull")
     if kind == WEIBULL and shape is None:
         raise CliError("--dist weibull requires --shape")
-    return WeightModel(kind, seed=args.seed, shape=shape)
+    return WeightModel(kind, seed=seed, shape=shape)
 
 
 def _fb_config(args) -> FbConfig:
-    pq = getattr(args, "pq", "bucket")
-    nb = getattr(args, "bucket_b", None)
-    w = getattr(args, "bucket_w", None)
-    if pq != "bucket" and (nb is not None or w is not None):
-        raise CliError("--bucket-b/--bucket-w require --pq bucket")
-    return FbConfig(pq=pq, nbuckets=nb, width=w)
+    nb, w = args.bucket_b, args.bucket_w
+    if nb is not None or w is not None:
+        if args.pq != "bucket":
+            raise CliError("--bucket-b/--bucket-w require --pq bucket")
+        if getattr(args, "algo", "fb") != "fb":
+            raise CliError("--bucket-b/--bucket-w require --algo fb")
+    return FbConfig(pq=args.pq, nbuckets=nb, width=w)
 
 
 def _positive_int(text: str) -> int:
@@ -169,25 +163,30 @@ def _add_model_flags(p, with_n=True):
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
+def _add_queue_flags(p):
+    p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
+    p.add_argument("--bucket-b", type=_positive_int, default=None,
+                   help="bucket count")
+    p.add_argument("--bucket-w", type=_positive_float, default=None,
+                   help="bucket width")
+
+
 def _check_trials(args) -> None:
     if getattr(args, "trials", 1) < 1:
         raise CliError("--trials must be at least 1")
 
 
 def _run_algo(algo: str, graph: SortedDigraph, source: int, fb_cfg: FbConfig):
+    t0 = time.perf_counter_ns()
     if algo == "dijkstra":
-        t0 = time.perf_counter_ns()
-        tree = dijkstra(graph, source)
-        return tree, None, time.perf_counter_ns() - t0
-    if algo == "spira":
-        t0 = time.perf_counter_ns()
-        tree, stats = spira(graph, source, queue_factory=BinaryHeapQueue)
-        return tree, stats, time.perf_counter_ns() - t0
-    if algo == "fb":
-        t0 = time.perf_counter_ns()
+        tree, stats = dijkstra(graph, source), None
+    elif algo == "spira":
+        tree, stats = spira(graph, source)
+    elif algo == "fb":
         tree, stats = fb_sssp(graph, source, config=fb_cfg)
-        return tree, stats, time.perf_counter_ns() - t0
-    raise CliError(f"unknown algorithm {algo!r}")
+    else:
+        raise CliError(f"unknown algorithm {algo!r}")
+    return tree, stats, time.perf_counter_ns() - t0
 
 
 _SSSP_COUNTERS = ["forward_scans", "backward_scans", "p_inserts", "p_extracts",
@@ -198,7 +197,7 @@ _SSSP_CSV = (["trial", "seed", "algo", "n", "model", "shape", "directed",
 
 
 def _cmd_gen(args) -> int:
-    model = _model_from_args(args)
+    model = _model_from_args(args, args.seed)
     g = gen_complete(args.n, model, directed=not args.undirected)
     save(g, _out_path(args.out))
     print(f"wrote {g!r} to {args.out}")
@@ -221,9 +220,8 @@ def _cmd_sssp(args) -> int:
         if base_graph is not None:
             graph = base_graph
         else:
-            model = WeightModel(_model_from_args(args).kind, seed=seed,
-                                shape=args.shape)
-            graph = gen_complete(args.n, model, directed=not args.undirected)
+            graph = gen_complete(args.n, _model_from_args(args, seed),
+                                 directed=not args.undirected)
         tree, stats, ns = _run_algo(args.algo, graph, args.source, fb_cfg)
         row = {"trial": t, "seed": seed, "algo": args.algo, "n": graph.n,
                **model_echo, "pq": args.pq, "source": args.source,
@@ -264,9 +262,8 @@ def _cmd_verify(args) -> int:
     if args.graph:
         graph = load(args.graph)
     else:
-        model = WeightModel(_model_from_args(args).kind, seed=seed,
-                            shape=args.shape)
-        graph = gen_complete(args.n, model, directed=not args.undirected)
+        graph = gen_complete(args.n, _model_from_args(args, seed),
+                             directed=not args.undirected)
     tree, _, _ = _run_algo(args.algo, graph, args.source, fb_cfg)
     checker = {"full": verify_full, "forward": verify_forward_only,
                "fb": verify_fb}[args.mode]
@@ -284,15 +281,12 @@ def _cmd_verify(args) -> int:
 def _cmd_apsp(args) -> int:
     fb_cfg = _fb_config(args)
     seed = seed_derivation(args.seed, 0)
-    model = WeightModel(_model_from_args(args).kind, seed=seed,
-                        shape=args.shape)
-    graph = gen_complete(args.n, model, directed=not args.undirected)
-    cfg = ApspConfig(fb=fb_cfg, threads=args.threads, model=model,
-                     directed=not args.undirected)
-    result = apsp(graph, cfg)
+    graph = gen_complete(args.n, _model_from_args(args, seed),
+                         directed=not args.undirected)
+    result = apsp(graph, ApspConfig(fb=fb_cfg, threads=args.threads))
     if args.dump:
         blob = _MAGIC + struct.pack("<Q", graph.n) + result.dist.tobytes()
-        _atomic_write_bytes(_out_path(args.dump), blob)
+        _atomic_write(_out_path(args.dump), blob)
     per_source = [s.as_dict() for s in result.per_source_stats]
     payload = {
         "config": {"command": "apsp", "n": args.n, "master_seed": args.seed,
@@ -379,9 +373,8 @@ def _cmd_bench_scan_scaling(args) -> int:
         per_n = []
         for t in range(args.trials):
             seed = seed_derivation(args.seed, t)
-            model = WeightModel(_model_from_args(args).kind, seed=seed,
-                                shape=args.shape)
-            graph = gen_complete(n, model, directed=directed)
+            graph = gen_complete(n, _model_from_args(args, seed),
+                                 directed=directed)
             _, stats, _ = _run_algo(args.algo, graph, 0, fb_cfg)
             per_n.append(stats.total_scans)
             csv_rows.append([n, t, seed, stats.forward_scans,
@@ -459,11 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", default=None, help="load this graph file "
                    "instead of generating one per trial")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=_positive_int, default=None,
-                   help="bucket count")
-    p.add_argument("--bucket-w", type=_positive_float, default=None,
-                   help="bucket width")
+    _add_queue_flags(p)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--json", default=None, help="write JSON report here")
@@ -477,9 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", default=None)
     p.add_argument("--mode", choices=["full", "forward", "fb"], default="fb")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=_positive_int, default=None)
-    p.add_argument("--bucket-w", type=_positive_float, default=None)
+    _add_queue_flags(p)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -487,9 +474,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("apsp", help="all-pairs shortest paths")
     _add_model_flags(p)
     p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=_positive_int, default=None)
-    p.add_argument("--bucket-w", type=_positive_float, default=None)
+    _add_queue_flags(p)
     p.add_argument("--dump", default=None,
                    help="write the distance matrix here (16-byte header: "
                         "8-byte magic + little-endian uint64 n; then "
@@ -511,15 +496,9 @@ def build_parser() -> _Parser:
 
     b = bench_sub.add_parser("scan-scaling", help="mean scans/n across sizes")
     b.add_argument("--n", required=True, help="comma-separated sizes")
-    b.add_argument("--dist", choices=["exp", "uniform", "weibull"],
-                   default="exp")
-    b.add_argument("--shape", type=float, default=None)
-    b.add_argument("--undirected", action="store_true")
-    b.add_argument("--seed", type=int, default=0)
+    _add_model_flags(b, with_n=False)
     b.add_argument("--algo", choices=["spira", "fb"], default="fb")
-    b.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    b.add_argument("--bucket-b", type=_positive_int, default=None)
-    b.add_argument("--bucket-w", type=_positive_float, default=None)
+    _add_queue_flags(b)
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--json", default=None)
     b.add_argument("--csv", default=None)

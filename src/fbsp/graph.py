@@ -15,7 +15,6 @@ cost matrix symmetric by construction.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -257,66 +256,30 @@ def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> n
     return m
 
 
-def _exp_bucket_ids(costs: np.ndarray, nbuckets: int) -> np.ndarray:
-    # Quantile buckets for Exp(1): boundaries -ln(1 - i/N), i.e. bucket of a
-    # cost c is floor(N * (1 - e^-c)), which spreads costs uniformly.
-    ids = np.floor(nbuckets * (-np.expm1(-costs))).astype(np.int64)
-    return np.clip(ids, 0, nbuckets - 1)
-
-
-def _bucket_cost_order(costs: np.ndarray, tie: np.ndarray,
-                       model: Optional[WeightModel]) -> np.ndarray:
-    """Indices sorting edges by (cost, tie).
-
-    When the cost distribution is known to be Exp(1), edges are first
-    scattered into equal-probability quantile buckets (one per edge) and each
-    bucket is then finished with heapsort; otherwise a comparison sort is
-    used.  Either way the result is identical to a full comparison sort.
-    """
-    m = costs.shape[0]
-    if model is None or model.kind != EXPONENTIAL or m < 2:
-        return np.lexsort((tie, costs))
-
-    ids = _exp_bucket_ids(costs, m)
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=m)
-    out = np.empty(m, dtype=np.int64)
-    pos = 0
-    filled = 0
-    for b in np.nonzero(counts)[0]:
-        cnt = int(counts[b])
-        members = order[filled:filled + cnt]
-        filled += cnt
-        if cnt == 1:
-            out[pos] = members[0]
-            pos += 1
-            continue
-        heap = [(costs[i], tie[i], i) for i in members.tolist()]
-        heapq.heapify(heap)
-        while heap:
-            out[pos] = heapq.heappop(heap)[2]
-            pos += 1
-    return out
-
-
 def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
-                           directed: bool = True,
-                           model: Optional[WeightModel] = None) -> SortedDigraph:
+                           directed: bool = True) -> SortedDigraph:
     """Build a :class:`SortedDigraph` from explicit (u, v, cost) edges.
 
     Costs must be finite and non-negative, endpoints in [0, n) and distinct.
-    ``model`` may describe the cost distribution to enable quantile-bucket
-    sorting; the output is the same either way.
+    Each list is sorted by cost, ties by the other endpoint; repeated pairs
+    are kept as separate edges.
     """
-    if n < 1:
-        raise GraphError("graph must have at least one vertex")
     edges = list(edges)
     m = len(edges)
     src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
     dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
     w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
+    return sorted_adjacency_from_arrays(src, dst, w, n, directed)
 
-    if m:
+
+def sorted_adjacency_from_arrays(src: np.ndarray, dst: np.ndarray,
+                                 w: np.ndarray, n: int,
+                                 directed: bool = True) -> SortedDigraph:
+    """:func:`build_sorted_adjacency` on edges given as three parallel
+    arrays: integer endpoints ``src`` and ``dst``, float64 costs ``w``."""
+    if n < 1:
+        raise GraphError("graph must have at least one vertex")
+    if w.shape[0]:
         if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
             raise GraphError("edge endpoint out of range")
         if np.any(src == dst):
@@ -325,7 +288,7 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
             raise GraphError("edge costs must be finite and non-negative")
 
     def _csr(key_src, key_dst, key_w):
-        order = _bucket_cost_order(key_w, key_dst, model)
+        order = np.lexsort((key_dst, key_w))
         s, d, ww = key_src[order], key_dst[order], key_w[order]
         by_vertex = np.argsort(s, kind="stable")  # stable: keeps cost order
         ptr = np.zeros(n + 1, dtype=np.int64)

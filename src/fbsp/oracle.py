@@ -154,7 +154,8 @@ def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
             spt_mask[v, p] = True
 
     both = out_mask & in_mask
-    assert not both.any(), "edge classified as both out- and in-pertinent"
+    if both.any():
+        raise AssertionError("edge classified as both out- and in-pertinent")
 
     out_spt = int((out_mask & spt_mask).sum())
     in_spt = int((in_mask & spt_mask).sum())
@@ -164,8 +165,9 @@ def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
         out_non_spt=int(out_mask.sum()) - out_spt,
         in_non_spt=int(in_mask.sum()) - in_spt,
     )
-    assert counts.out_spt + counts.in_spt == int((tree.parent >= 0).sum()), \
-        "every tree edge must fall in exactly one pertinence class"
+    if counts.out_spt + counts.in_spt != int((tree.parent >= 0).sum()):
+        raise AssertionError(
+            "every tree edge must fall in exactly one pertinence class")
     return counts
 
 

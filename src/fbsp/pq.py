@@ -333,6 +333,7 @@ def replay(trace, queue: MonotoneQueue) -> List[float]:
             serial += 1
         else:
             got = queue.extract_min()
-            assert got is not None, "replay extracted from an empty queue"
+            if got is None:
+                raise AssertionError("replay extracted from an empty queue")
             keys.append(got[1])
     return keys

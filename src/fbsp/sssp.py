@@ -12,6 +12,9 @@ Three algorithms over a :class:`~fbsp.graph.SortedDigraph`:
   scanning sorted *incoming* lists of unsettled vertices, feeding them back
   into the forward search through per-vertex request lists.
 
+Spira and the forward-backward algorithm share one search loop; Spira's run
+is the loop with the median switch turned off.
+
 All runs return a :class:`ShortestPathTree` plus :class:`ScanStats`
 instrumentation counters.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -103,8 +106,7 @@ def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:
     settled vertex is vectorized over its out-adjacency row.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError("source out of range")
+    _check_source(graph, source)
     dist = np.full(n, INF)
     parent = np.full(n, -1, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
@@ -132,54 +134,6 @@ def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:
     return ShortestPathTree(source, parent, dist)
 
 
-def spira(graph: SortedDigraph, source: int,
-          queue_factory: Callable[[], MonotoneQueue] = BinaryHeapQueue
-          ) -> Tuple[ShortestPathTree, ScanStats]:
-    """Spira's algorithm: one candidate outgoing edge per settled vertex.
-
-    Requires sorted out-adjacency.  Each extraction of (u, v) scans the edge
-    after it in Out[u]; a newly settled vertex scans its first edge.
-    """
-    n = graph.n
-    if not (0 <= source < n):
-        raise ValueError("source out of range")
-    dist = np.full(n, INF)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    stats = ScanStats()
-
-    out_to = [None] * n
-    out_w = [None] * n
-    cursor = [0] * n
-
-    P = queue_factory()
-
-    def forward(u: int, du: float) -> None:
-        row_to = out_to[u]
-        if row_to is None:
-            row_to, out_w[u] = graph.out_edges(u)
-            out_to[u] = row_to
-        i = cursor[u]
-        if i < row_to.shape[0]:
-            cursor[u] = i + 1
-            stats.forward_scans += 1
-            P.insert((u, int(row_to[i])), float(du + out_w[u][i]))
-            stats.p_inserts += 1
-
-    forward(source, 0.0)
-    settled = 1
-    while settled < n and len(P):
-        (u, v), key = P.extract_min()
-        stats.p_extracts += 1
-        forward(u, dist[u])
-        if dist[v] == INF:
-            dist[v] = key
-            parent[v] = u
-            settled += 1
-            forward(v, key)
-    return ShortestPathTree(source, parent, dist), stats
-
-
 class FbRecording:
     """Instrumentation captured by a recording forward-backward run.
 
@@ -197,6 +151,18 @@ class FbRecording:
         self.p_inserts: List[Tuple[int, int, float, float, bool]] = []  # u, v, c, key, from_req
         self.q_inserts: List[Tuple[int, int, float]] = []  # u, v, c
         self.requests: List[Tuple[int, int, float]] = []  # u, v, c
+
+
+def spira(graph: SortedDigraph, source: int
+          ) -> Tuple[ShortestPathTree, ScanStats]:
+    """Spira's algorithm: one candidate outgoing edge per settled vertex.
+
+    Requires sorted out-adjacency.  Each extraction of (u, v) scans the edge
+    after it in Out[u]; a newly settled vertex scans its first edge.  This is
+    stage 1 of :func:`fb_sssp` run to the end, on a binary heap.
+    """
+    _check_source(graph, source)
+    return _search(graph, source, BinaryHeapQueue(), None, None)
 
 
 def fb_sssp(graph: SortedDigraph, source: int,
@@ -217,14 +183,32 @@ def fb_sssp(graph: SortedDigraph, source: int,
       (scanned immediately -- an "urgent request" -- if u is settled but has
       no edge in P).
     """
-    n = graph.n
-    if not (0 <= source < n):
-        raise ValueError("source out of range")
+    _check_source(graph, source)
     if config is None:
         config = FbConfig()
+    n = graph.n
+    P, Q = config.make_queue(n), config.make_queue(n)
+    if n == 1:
+        # the median vertex is the source itself, which has no edges
+        return (ShortestPathTree(source, np.full(1, -1, dtype=np.int64),
+                                 np.zeros(1)),
+                ScanStats(median=0.0, size_at_median=1))
+    return _search(graph, source, P, Q, record)
 
-    dist = np.full(n, INF)
-    parent = np.full(n, -1, dtype=np.int64)
+
+def _check_source(graph: SortedDigraph, source: int) -> None:
+    if not (0 <= source < graph.n):
+        raise ValueError("source out of range")
+
+
+def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
+            Q: Optional[MonotoneQueue], record: Optional[FbRecording]
+            ) -> Tuple[ShortestPathTree, ScanStats]:
+    """The search loop of :func:`fb_sssp`; without Q the median switch
+    never fires, M stays infinite, and the loop is Spira's algorithm."""
+    n = graph.n
+    dist = [INF] * n    # lists: their items read faster than an array's
+    parent = [-1] * n
     dist[source] = 0.0
     stats = ScanStats()
 
@@ -239,14 +223,11 @@ def fb_sssp(graph: SortedDigraph, source: int,
     req: List[list] = [[] for _ in range(n)]
     req_cur = [0] * n
 
-    P = config.make_queue(n)
-    Q = config.make_queue(n)
     M = INF
+    # settled starts at 1, so a switch at 0 never fires
+    switch_at = (n + 1) // 2 if Q is not None else 0
 
-    ceil_half = (n + 1) // 2
-
-    def forward(u: int) -> None:
-        du = dist[u]
+    def forward(u: int, du: float) -> None:
         v = -1
         c = 0.0
         if out_ok[u]:
@@ -258,11 +239,11 @@ def fb_sssp(graph: SortedDigraph, source: int,
             if i < row.shape[0]:
                 out_cur[u] = i + 1
                 stats.forward_scans += 1
-                c = float(out_w[u][i])
+                c = out_w[u].item(i)
                 if M < INF and c > 2.0 * (M - du):
                     out_ok[u] = False
                 else:
-                    v = int(row[i])
+                    v = row.item(i)
             else:
                 out_ok[u] = False
         if v < 0:
@@ -273,7 +254,7 @@ def fb_sssp(graph: SortedDigraph, source: int,
                 v, c = ru[j]
         if v >= 0:
             active[u] = True
-            key = float(du + c)
+            key = du + c
             P.insert((u, v), key)
             stats.p_inserts += 1
             if record is not None:
@@ -291,8 +272,8 @@ def fb_sssp(graph: SortedDigraph, source: int,
         if i < row.shape[0]:
             in_cur[v] = i + 1
             stats.backward_scans += 1
-            u = int(row[i])
-            c = float(in_w[v][i])
+            u = row.item(i)
+            c = in_w[v].item(i)
             Q.insert((u, v), c)
             stats.q_inserts += 1
             if record is not None:
@@ -304,17 +285,12 @@ def fb_sssp(graph: SortedDigraph, source: int,
         req[u].append((v, c))
         if record is not None:
             record.requests.append((u, v, c))
-        if dist[u] < INF and not active[u]:
+        du = dist[u]
+        if du < INF and not active[u]:
             stats.urgent_requests += 1
-            forward(u)
+            forward(u, du)
 
-    if n == 1:
-        # the median vertex is the source itself; stage 2 starts immediately
-        M = 0.0
-        stats.median = 0.0
-        stats.size_at_median = 1
-
-    forward(source)
+    forward(source, 0.0)
     settled = 1
     while settled < n and len(P):
         (u, v), key = P.extract_min()
@@ -322,19 +298,21 @@ def fb_sssp(graph: SortedDigraph, source: int,
         if record is not None:
             record.p_trace.append(("x",))
             record.p_extract_keys.append(key)
-        forward(u)
+        forward(u, dist[u])
         if dist[v] == INF:
             dist[v] = key
             parent[v] = u
             settled += 1
-            forward(v)
-            if settled == ceil_half:
+            forward(v, key)
+            if settled == switch_at:
                 M = key
                 stats.median = M
                 stats.size_at_median = settled
                 for w in range(n):
                     if dist[w] == INF:
                         backward(w)
+        if M == INF:
+            continue   # Q stays empty until the median is known
         # drain newly identifiable in-pertinent edges
         while len(Q):
             qmin = Q.min_key()
@@ -349,7 +327,8 @@ def fb_sssp(graph: SortedDigraph, source: int,
                 backward(v2)
                 request(u2, v2, c2)
 
-    return ShortestPathTree(source, parent, dist), stats
+    return (ShortestPathTree(source, np.array(parent, dtype=np.int64),
+                             np.array(dist)), stats)
 
 
 def replay_trace(graph: SortedDigraph, source: int,

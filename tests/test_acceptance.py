@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fbsp.apsp import ApspConfig, apsp
+from fbsp.apsp import apsp
 from fbsp.cli import seed_derivation
 from fbsp.graph import (EXPONENTIAL, UNIFORM, WEIBULL, WeightModel,
                         build_sorted_adjacency, complete_cost_matrix,
@@ -247,7 +247,7 @@ def test_11_apsp_quadratic_scaling():
         for n in (256, 512):
             model = WeightModel(EXPONENTIAL, seed=seed_derivation(MASTER, n))
             costs = complete_cost_matrix(n, model)
-            result = apsp(costs, ApspConfig(model=model))
+            result = apsp(costs)
             totals[n] = result.total_scans
         ratio = totals[512] / totals[256]
         print(f"  scans {totals[256]} -> {totals[512]} (x{ratio:.3f})",

@@ -27,7 +27,7 @@ def test_single_vertex():
 def test_from_raw_cost_matrix():
     model = WeightModel(EXPONENTIAL, seed=4)
     costs = complete_cost_matrix(25, model)
-    result = apsp(costs, ApspConfig(model=model))
+    result = apsp(costs)
     g = gen_complete(25, model)
     for s in range(25):
         np.testing.assert_allclose(result.dist[s], dijkstra(g, s).dist,
@@ -48,6 +48,13 @@ def test_threads_do_not_change_output():
     np.testing.assert_array_equal(seq.dist, par.dist)
     assert [s.as_dict() for s in seq.per_source_stats] == \
            [s.as_dict() for s in par.per_source_stats]
+
+
+def test_rejects_bad_thread_counts():
+    g = gen_complete(5, WeightModel(EXPONENTIAL, seed=3))
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            apsp(g, ApspConfig(threads=threads))
 
 
 def test_rejects_bad_matrices():

@@ -150,6 +150,18 @@ def test_bad_bucket_parameters_exit_1(capsys):
         err = capsys.readouterr().err
         assert "argument --bucket-" in err
         assert "NaN" not in err
+    # bucket flags only shape fb_sssp's queues; elsewhere they would be ignored
+    for cmd in (["sssp", "--n", "50"], ["verify", "--n", "50"],
+                ["bench", "scan-scaling", "--n", "20", "--trials", "1"]):
+        for flags in (["--bucket-b", "5"], ["--bucket-w", "0.1"],
+                      ["--bucket-b", "5", "--bucket-w", "0.1"]):
+            capsys.readouterr()
+            assert main(cmd + ["--algo", "spira"] + flags) == 1
+            assert "require --algo fb" in capsys.readouterr().err
+            if cmd[0] != "bench":
+                assert main(cmd + ["--algo", "dijkstra"] + flags) == 1
+        assert main(cmd + ["--algo", "fb", "--bucket-b", "5",
+                           "--bucket-w", "0.1"]) == 0
 
 
 def test_apsp_rejects_negative_threads(capsys):

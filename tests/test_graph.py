@@ -156,10 +156,15 @@ def test_build_matches_comparison_sort_reference():
     w = rng.exponential(size=u.shape[0])
     edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
 
-    got = build_sorted_adjacency(edges, n, model=WeightModel(EXPONENTIAL))
-    ref = build_sorted_adjacency(edges, n, model=None)
-    assert got == ref
+    got = build_sorted_adjacency(edges, n)
     check_invariants(got)
+    for x in range(n):
+        to, cw = got.out_edges(x)
+        assert list(zip(cw.tolist(), to.tolist())) == sorted(
+            (c, b) for a, b, c in edges if a == x)
+        frm, cw = got.in_edges(x)
+        assert list(zip(cw.tolist(), frm.tolist())) == sorted(
+            (c, a) for a, b, c in edges if b == x)
 
 
 def test_build_tie_break_by_index():

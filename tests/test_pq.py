@@ -193,7 +193,7 @@ def test_bucket_defaults():
 
 
 def test_monotone_contract_holds_without_asserts():
-    # python -O strips assert statements; the contract check must survive
+    # python -O strips assert statements; the contract checks must survive
     code = ("from fbsp.pq import BinaryHeapQueue\n"
             "q = BinaryHeapQueue()\n"
             "q.insert('a', 5.0)\n"
@@ -201,9 +201,14 @@ def test_monotone_contract_holds_without_asserts():
             "try:\n"
             "    q.insert('b', 1.0)\n"
             "except AssertionError:\n"
-            "    print('refused')\n")
+            "    print('refused')\n"
+            "from fbsp.pq import replay\n"
+            "try:\n"
+            "    replay([('i', 1.0), ('x',), ('x',)], BinaryHeapQueue())\n"
+            "except AssertionError:\n"
+            "    print('empty')\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "refused"
+    assert out.stdout.split() == ["refused", "empty"]

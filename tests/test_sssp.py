@@ -6,7 +6,8 @@ import pytest
 
 from fbsp.graph import EXPONENTIAL, WeightModel, build_sorted_adjacency, gen_complete
 from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
-from fbsp.sssp import FbConfig, dijkstra, fb_sssp, replay_trace, spira
+from fbsp.sssp import (FbConfig, ScanStats, ShortestPathTree, dijkstra,
+                       fb_sssp, replay_trace, spira)
 
 INF = math.inf
 
@@ -85,6 +86,92 @@ def test_spira_two_vertices_single_edge():
     assert tree.dist.tolist() == [0.0, 2.5]
     assert stats.p_extracts == 1
     assert stats.forward_scans == 1
+
+
+def reference_spira(graph, source):
+    """Spira's algorithm as a loop of its own, frozen as the definition of
+    what spira must return now that it shares fb_sssp's loop."""
+    n = graph.n
+    if not (0 <= source < n):
+        raise ValueError("source out of range")
+    dist = np.full(n, INF)
+    parent = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0.0
+    stats = ScanStats()
+
+    out_to = [None] * n
+    out_w = [None] * n
+    cursor = [0] * n
+
+    P = BinaryHeapQueue()
+
+    def forward(u, du):
+        row_to = out_to[u]
+        if row_to is None:
+            row_to, out_w[u] = graph.out_edges(u)
+            out_to[u] = row_to
+        i = cursor[u]
+        if i < row_to.shape[0]:
+            cursor[u] = i + 1
+            stats.forward_scans += 1
+            P.insert((u, int(row_to[i])), float(du + out_w[u][i]))
+            stats.p_inserts += 1
+
+    forward(source, 0.0)
+    settled = 1
+    while settled < n and len(P):
+        (u, v), key = P.extract_min()
+        stats.p_extracts += 1
+        forward(u, dist[u])
+        if dist[v] == INF:
+            dist[v] = key
+            parent[v] = u
+            settled += 1
+            forward(v, key)
+    return ShortestPathTree(source, parent, dist), stats
+
+
+def _multigraph_with_zero_and_tied_costs():
+    # repeated pairs, zero costs and ties, and vertex 11 has no in-edges
+    rng = np.random.default_rng(17)
+    n = 12
+    u = rng.integers(0, n, size=120)
+    v = rng.integers(0, n - 1, size=120)
+    keep = u != v
+    costs = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], size=120)
+    edges = list(zip(u[keep].tolist(), v[keep].tolist(), costs[keep].tolist()))
+    return build_sorted_adjacency(edges, n)
+
+
+def _spira_reference_graphs():
+    for n in (1, 2, 3, 17, 200):
+        for kind, shape in (("exp", None), ("uniform", None),
+                            ("weibull", 150.0)):
+            for directed in (True, False):
+                model = WeightModel(kind, seed=n + 5, shape=shape)
+                yield pytest.param(
+                    gen_complete(n, model, directed=directed),
+                    id=f"{kind}-n{n}-{'dir' if directed else 'undir'}")
+    yield pytest.param(_multigraph_with_zero_and_tied_costs(), id="multigraph")
+
+
+@pytest.mark.parametrize("graph", list(_spira_reference_graphs()))
+def test_spira_matches_frozen_reference(graph):
+    n = graph.n
+    for source in sorted({0, n // 2, n - 1, 2 % n}):
+        ref_tree, ref_stats = reference_spira(graph, source)
+        tree, stats = spira(graph, source)
+        np.testing.assert_array_equal(tree.parent, ref_tree.parent)
+        np.testing.assert_array_equal(tree.dist, ref_tree.dist)
+        assert tree.dist.dtype == ref_tree.dist.dtype
+        assert tree.parent.dtype == ref_tree.parent.dtype
+        assert stats.as_dict() == ref_stats.as_dict()
+
+
+def test_weibull_reference_graph_has_zero_cost_ties():
+    # the weibull(150) case above exercises ties only if costs underflow
+    g = gen_complete(200, WeightModel("weibull", seed=205, shape=150.0))
+    assert np.count_nonzero(g.out_w == 0.0) > 1
 
 
 def test_fb_matches_dijkstra_on_triangle():
@@ -310,3 +397,7 @@ def test_make_queue_keeps_explicit_values_and_rejects_bad_ones():
                   (None, math.inf), (None, math.nan)):
         with pytest.raises(ValueError):
             FbConfig(nbuckets=nb, width=w).make_queue(100)
+    # a one-vertex run returns before its queues see use, but still builds them
+    g = gen_complete(1, WeightModel(EXPONENTIAL, seed=0))
+    with pytest.raises(ValueError):
+        fb_sssp(g, 0, config=FbConfig(nbuckets=0))
