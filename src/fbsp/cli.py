@@ -407,13 +407,18 @@ def _cmd_bench_verify_compare(args) -> int:
         model = WeightModel(EXPONENTIAL, seed=seed)
         graph = gen_complete(n, model, directed=directed)
         tree = dijkstra(graph, 0)
+        t0 = time.perf_counter_ns()
         fwd = verify_forward_only(graph, tree)
+        t1 = time.perf_counter_ns()
         fb = verify_fb(graph, tree)
+        t2 = time.perf_counter_ns()
         if not (fwd.accepted and fb.accepted):
             raise AssertionError("true tree rejected")
         rows.append({"trial": t, "seed": seed,
                      "forward_only_examined": fwd.edges_examined,
-                     "fb_examined": fb.edges_examined})
+                     "fb_examined": fb.edges_examined,
+                     "forward_only_wall_ns": t1 - t0,
+                     "fb_wall_ns": t2 - t1})
     nlogn = n * math.log(n)
     mean_fwd = sum(r["forward_only_examined"] for r in rows) / len(rows)
     mean_fb = sum(r["fb_examined"] for r in rows) / len(rows)

@@ -169,13 +169,15 @@ class BucketQueue(MonotoneQueue):
     [0, nbuckets*width); larger keys are clamped into the last bucket.  A
     bucket holds an unsorted list until it is first touched by an extraction;
     at that point, if it holds b items, it is split into b equal sub-ranges,
-    each backed by a binary heap.  The last bucket is instead dumped into a
+    each backed by a binary heap (empty sub-ranges share one empty heap
+    until an item arrives).  The last bucket is instead dumped into a
     single heap, since its key range is unbounded.  Items inserted into an
     already-split bucket go directly into the proper sub-heap.
     """
 
     __slots__ = ("B", "W", "_pending", "_minkey", "_a", "_active", "_subs",
-                 "_sub_idx", "_nsubs", "_size", "_cmps", "_last", "stats")
+                 "_sub_idx", "_nsubs", "_size", "_cmps", "_empty", "_last",
+                 "stats")
 
     def __init__(self, nbuckets: int, width: float):
         if nbuckets < 1:
@@ -193,6 +195,7 @@ class BucketQueue(MonotoneQueue):
         self._nsubs = 0
         self._size = 0
         self._cmps = [0]
+        self._empty = _Heap(self._cmps)  # stands in for every empty sub-heap
         self._last = -math.inf
         self.stats = QueueStats()
 
@@ -219,13 +222,15 @@ class BucketQueue(MonotoneQueue):
         if i == self._active:
             j = 0 if self._nsubs == 1 else self._sub_index(key)
             heap = self._subs[j]
+            if heap is self._empty:
+                heap = self._subs[j] = _Heap(self._cmps)
             heap.push(key, item)
             if j < self._sub_idx:
                 self._sub_idx = j
             self.stats.late_inserts += 1
             self.stats.heap_comparisons = self._cmps[0]
-            if len(heap) > self.stats.max_subbucket_size:
-                self.stats.max_subbucket_size = len(heap)
+            if len(heap.a) > self.stats.max_subbucket_size:
+                self.stats.max_subbucket_size = len(heap.a)
             return
         if i < self._a and self._active != -1:
             raise AssertionError("insert below the active bucket")
@@ -258,12 +263,18 @@ class BucketQueue(MonotoneQueue):
                 self.stats.max_subbucket_size = b
             return
         self._nsubs = b
-        self._subs = [_Heap(self._cmps) for _ in range(b)]
+        subs = self._subs = [self._empty] * b
+        used = []
         for key, item in items:
-            self._subs[self._sub_index(key)].push(key, item)
-        for heap in self._subs:
-            if len(heap) > self.stats.max_subbucket_size:
-                self.stats.max_subbucket_size = len(heap)
+            j = self._sub_index(key)
+            heap = subs[j]
+            if heap is self._empty:
+                heap = subs[j] = _Heap(self._cmps)
+                used.append(heap)
+            heap.push(key, item)
+        for heap in used:
+            if len(heap.a) > self.stats.max_subbucket_size:
+                self.stats.max_subbucket_size = len(heap.a)
 
     _EMPTY, _AT_SUBHEAP, _AT_PENDING = 0, 1, 2
 
@@ -278,7 +289,7 @@ class BucketQueue(MonotoneQueue):
         while True:
             if self._active == self._a:
                 while self._sub_idx < self._nsubs:
-                    if len(self._subs[self._sub_idx]):
+                    if self._subs[self._sub_idx].a:
                         return self._AT_SUBHEAP
                     self._sub_idx += 1
                 self._active = -1
@@ -290,6 +301,10 @@ class BucketQueue(MonotoneQueue):
             self._a += 1
 
     def min_key(self):
+        if self._active == self._a:  # fast path: the current sub-heap
+            a = self._subs[self._sub_idx].a
+            if a:
+                return a[0][0]
         where = self._locate()
         if where == self._EMPTY:
             return math.inf
@@ -298,12 +313,13 @@ class BucketQueue(MonotoneQueue):
         return self._minkey[self._a]
 
     def extract_min(self):
-        where = self._locate()
-        if where == self._EMPTY:
-            return None
-        if where == self._AT_PENDING:
-            self._split(self._a)
-            self._locate()
+        if self._active != self._a or not self._subs[self._sub_idx].a:
+            where = self._locate()
+            if where == self._EMPTY:
+                return None
+            if where == self._AT_PENDING:
+                self._split(self._a)
+                self._locate()
         key, item = self._subs[self._sub_idx].pop()
         self._size -= 1
         self._last = key

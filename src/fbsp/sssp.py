@@ -313,11 +313,9 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
                         backward(w)
         if M == INF:
             continue   # Q stays empty until the median is known
-        # drain newly identifiable in-pertinent edges
-        while len(Q):
-            qmin = Q.min_key()
-            if qmin >= 2.0 * (P.min_key() - M):
-                break
+        # drain newly identifiable in-pertinent edges; an empty Q's min_key
+        # is inf, which ends the drain
+        while Q.min_key() < 2.0 * (P.min_key() - M):
             (u2, v2), c2 = Q.extract_min()
             stats.q_extracts += 1
             if record is not None:

@@ -3,7 +3,8 @@
 A tree (parent array) is an SPT iff no edge (u, v) satisfies
 c[u,v] < d[v] - d[u], where d is the tree distance.  Three checkers:
 
-* :func:`verify_full` -- examines every edge; the reference.
+* :func:`verify_full` -- examines every edge, one row at a time; the
+  reference the fast verifiers are tested against.
 * :func:`verify_forward_only` -- scans each sorted out-list only up to the
   first edge with c >= D - d[u] (D the largest tree distance); later edges
   cannot violate.
@@ -11,6 +12,12 @@ c[u,v] < d[v] - d[u], where d is the tree distance.  Three checkers:
   out-edges with c <= 2(M - d[u]) and the in-edges with c < 2(d[v] - M).
   An edge outside both windows satisfies c > (M - d[u]) + (d[v] - M)
   = d[v] - d[u], so checking the windows alone is sound and complete.
+
+The fast verifiers and :func:`tree_distances` read their windows with one
+vectorised row-window scan (:func:`_first_true`): it gathers a short prefix
+of every row at once and widens it, four times at a step, only for the rows
+whose window (or sought parent) lies beyond it.  Counts and witnesses are
+those of a row-by-row scan in vertex order.
 
 Each also rejects a tree whose reported ``dist`` differs from the distances
 along its own edges.  All three agree on accept/reject for every input.
@@ -22,7 +29,6 @@ self-report as violations.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -31,6 +37,11 @@ import numpy as np
 from .graph import SortedDigraph
 
 _REL_EPS = 1e-12
+
+# The row-window scan first gathers this many cells of each row, and
+# gathers about _SCAN_CELLS cells at a time.
+_FIRST_WIDTH = 8
+_SCAN_CELLS = 2 ** 14
 
 
 class VerifyError(ValueError):
@@ -57,12 +68,44 @@ class VerifyReport:
         }
 
 
+def _first_true(start: np.ndarray, stop: np.ndarray, pred) -> np.ndarray:
+    """For each segment [start[s], stop[s]) of a flat edge array, the first
+    position p with ``pred`` true there, or stop[s] when there is none.
+
+    ``pred(sel, pos)`` gets segment indices ``sel`` and an (len(sel), k)
+    grid of positions inside those segments, and returns a boolean grid.
+    Every segment is tried on its first _FIRST_WIDTH positions; a segment
+    with no hit and more positions is tried again on a prefix four times
+    wider.  Predicates that are monotone along a cost-sorted row thus find
+    a window's end, and others the first hit in row order.
+    """
+    first = stop.copy()
+    todo = np.flatnonzero(stop > start)
+    k = _FIRST_WIDTH
+    while todo.shape[0]:
+        h = max(1, _SCAN_CELLS // k)
+        wider = []
+        for c0 in range(0, todo.shape[0], h):
+            sel = todo[c0:c0 + h]
+            lo, hi = start[sel, None], stop[sel, None]
+            pos = lo + np.arange(k)
+            inside = pos < hi
+            np.minimum(pos, hi - 1, out=pos)  # pred reads its own segment only
+            hit = pred(sel, pos) & inside
+            found = hit.any(axis=1)
+            first[sel[found]] = pos[found, hit[found].argmax(axis=1)]
+            wider.append(sel[~found & (hi[:, 0] - lo[:, 0] > k)])
+        todo = np.concatenate(wider)
+        k *= 4
+    return first
+
+
 def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
                    ) -> np.ndarray:
     """Distances along the tree given by ``parent`` (-1 marks no parent).
 
-    Walks the tree from the root, so it runs in O(n) plus the cost of
-    looking up each parent edge.  Rejects parent arrays that contain cycles
+    Looks up every parent edge in one row-window scan of the in-lists, then
+    walks the tree from the root.  Rejects parent arrays that contain cycles
     or refer to edges absent from the graph; vertices with no parent other
     than the source get distance +inf.
     """
@@ -75,75 +118,51 @@ def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
     if parent[source] != -1:
         raise VerifyError("source must have no parent")
 
-    cost = np.full(n, math.nan)
-    for v in range(n):
-        p = parent[v]
-        if p < 0:
-            continue
-        if p >= n:
+    kids = np.flatnonzero(parent >= 0)
+    p = parent[kids]
+    start = graph.in_ptr[kids]
+    stop = np.where(p < n, graph.in_ptr[kids + 1], start)  # none for p >= n
+    at = _first_true(start, stop,
+                     lambda s, pos: graph.in_from[pos] == p[s, None])
+    missing = kids[at == stop]
+    if missing.shape[0]:
+        v = missing[0]  # the first bad vertex in vertex order names the error
+        if parent[v] >= n:
             raise VerifyError(f"parent of {v} out of range")
-        frm, w = graph.in_edges(v)
-        hits = np.nonzero(frm == p)[0]
-        if hits.shape[0] == 0:
-            raise VerifyError(f"tree edge ({p}, {v}) is not in the graph")
-        cost[v] = w[hits[0]]  # multi-edges: cheapest copy, first in sorted row
+        raise VerifyError(f"tree edge ({parent[v]}, {v}) is not in the graph")
 
+    # multi-edges: the cheapest copy, first in the sorted row
     children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+    for v, pv, c in zip(kids.tolist(), p.tolist(), graph.in_w[at].tolist()):
+        children[pv].append((v, c))
 
-    dist = np.full(n, math.inf)
+    dist = [math.inf] * n
     dist[source] = 0.0
     stack = [source]
     visited = 1
     while stack:
         u = stack.pop()
         du = dist[u]
-        for v in children[u]:
-            dist[v] = du + cost[v]
+        for v, c in children[u]:
+            dist[v] = du + c
             visited += 1
             stack.append(v)
-    if visited < n and any(parent[v] >= 0 and not math.isfinite(dist[v])
-                           for v in range(n)):
+    dist = np.array(dist)
+    if visited < n and not np.isfinite(dist[kids]).all():
         raise VerifyError("parent array contains a cycle")
     return dist
 
 
 def select_median(dist: Sequence[float]) -> float:
-    """The ceil(n/2)-th smallest entry, by quickselect with random pivots."""
-    a = [float(x) for x in dist]
-    n = len(a)
+    """The ceil(n/2)-th smallest entry."""
+    a = np.array(dist, dtype=np.float64)
+    n = a.shape[0]
     if n == 0:
         raise VerifyError("empty distance array")
-    if not all(math.isfinite(x) for x in a):
+    if not np.isfinite(a).all():
         raise VerifyError("median undefined with non-finite distances")
     k = (n + 1) // 2 - 1  # 0-based rank of the median
-    rng = random.Random(n * 0x9E3779B9 + 1)
-    lo, hi = 0, n - 1
-    while True:
-        if lo == hi:
-            return a[lo]
-        pivot = a[rng.randint(lo, hi)]
-        i, j, eq = lo, hi, lo
-        # three-way partition around the pivot
-        while eq <= j:
-            x = a[eq]
-            if x < pivot:
-                a[i], a[eq] = a[eq], a[i]
-                i += 1
-                eq += 1
-            elif x > pivot:
-                a[eq], a[j] = a[j], a[eq]
-                j -= 1
-            else:
-                eq += 1
-        if k < i:
-            hi = i - 1
-        elif k > j:
-            lo = j + 1
-        else:
-            return pivot
+    return float(np.partition(a, k)[k])
 
 
 def _report(tree, d: np.ndarray, examined: int, witness, **summary
@@ -162,11 +181,15 @@ def _report(tree, d: np.ndarray, examined: int, witness, **summary
                         wrong_dist=wrong, **summary)
 
 
+def _violates(du, dv, c):
+    """Edges (u, v) of cost c with c < d[v] - d[u] beyond rounding slack.
+    d[u] must be finite; d[v] = inf is a genuine violation."""
+    return dv - du - c > _REL_EPS * np.maximum(1.0, du + c)
+
+
 def _first_violation(d_to: np.ndarray, du: float, w: np.ndarray) -> int:
-    """Index of the first edge with c < d[v] - d[u] beyond rounding slack,
-    or -1.  ``du`` must be finite; d[v] = inf is a genuine violation."""
-    gap = d_to - du - w
-    bad = np.nonzero(gap > _REL_EPS * np.maximum(1.0, du + w))[0]
+    """Index of the first violating edge out of a vertex at ``du``, or -1."""
+    bad = np.flatnonzero(_violates(du, d_to, w))
     return int(bad[0]) if bad.shape[0] else -1
 
 
@@ -189,27 +212,64 @@ def verify_full(graph: SortedDigraph, tree) -> VerifyReport:
     return _report(tree, d, examined, witness, max_distance=D)
 
 
+def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
+                  thr: np.ndarray, inclusive: bool, outgoing: bool):
+    """Row-window scan of the sorted out-lists (in-lists unless
+    ``outgoing``) of ``rows``, as a row-by-row scan in row order would read
+    them.
+
+    A row's window holds its edges with cost < thr (<= thr when
+    ``inclusive``) and is read with the terminator edge after it, if the row
+    has one; violations are looked for in the window.  Returns the edges
+    read by the rows before the first row with a violation (all rows when
+    none has one) and, for that row, (witness, edges up to and including
+    the violation, edges the row reads).
+    """
+    if outgoing:
+        ptr, ends, costs = graph.out_ptr, graph.out_to, graph.out_w
+    else:
+        ptr, ends, costs = graph.in_ptr, graph.in_from, graph.in_w
+    start, stop = ptr[rows], ptr[rows + 1]
+    if inclusive:
+        end = _first_true(start, stop, lambda s, pos: costs[pos] > thr[s, None])
+    else:
+        end = _first_true(start, stop, lambda s, pos: costs[pos] >= thr[s, None])
+    read = np.minimum(end + 1, stop)
+    d_row = d[rows]
+
+    def bad(s, pos):
+        d_end = d[ends[pos]]
+        if outgoing:
+            return _violates(d_row[s, None], d_end, costs[pos])
+        return _violates(d_end, d_row[s, None], costs[pos])
+
+    first_bad = _first_true(start, end, bad)
+    hit = np.flatnonzero(first_bad < end)
+    read -= start
+    if not hit.shape[0]:
+        return int(read.sum()), None
+    i = int(hit[0])
+    at = int(first_bad[i])
+    r, x = int(rows[i]), int(ends[at])
+    u, v = (r, x) if outgoing else (x, r)
+    witness = (u, v, float(costs[at]), float(d[u]), float(d[v]))
+    return int(read[:i].sum()), (witness, at - int(start[i]) + 1, int(read[i]))
+
+
 def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
     """Scan each sorted out-list until an edge with c >= D - d[u] appears."""
     d = tree_distances(graph, tree.parent, tree.source)
     all_finite = bool(np.all(np.isfinite(d)))
     D = float(d.max()) if all_finite else math.inf
-    examined = 0
+    rows = np.flatnonzero(np.isfinite(d))  # c >= d[v] - inf holds for free
+    # the terminator, c >= D - d[u] >= d[v] - d[u] after rounding, never
+    # violates, so only the window is checked
+    examined, found = _scan_windows(graph, d, rows, D - d[rows],
+                                    inclusive=False, outgoing=True)
     witness = None
-    for u in range(graph.n):
-        du = d[u]
-        to, w = graph.out_edges(u)
-        if not math.isfinite(du):
-            continue  # c >= d[v] - inf holds for free
-        # edges at positions < stop are < D - d[u]; position stop terminates
-        stop = int(np.searchsorted(w, D - du, side="left"))
-        upto = min(stop + 1, to.shape[0])
-        examined += upto
-        i = _first_violation(d[to[:upto]], du, w[:upto])
-        if i >= 0:
-            examined -= upto - (i + 1)  # stopped at the violation
-            witness = (u, int(to[i]), float(w[i]), float(du), float(d[to[i]]))
-            break
+    if found is not None:
+        witness, upto, _ = found
+        examined += upto  # stopped at the violation
     return _report(tree, d, examined, witness, max_distance=D)
 
 
@@ -226,33 +286,16 @@ def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
         raise VerifyError("tree does not span the graph; median undefined")
     D = float(d.max())
     M = select_median(d)
-    examined = 0
+    rows = np.flatnonzero(d <= M)
+    examined, found = _scan_windows(graph, d, rows, 2.0 * (M - d[rows]),
+                                    inclusive=True, outgoing=True)
+    if found is None:
+        rows = np.flatnonzero(d >= M)
+        more, found = _scan_windows(graph, d, rows, 2.0 * (d[rows] - M),
+                                    inclusive=False, outgoing=False)
+        examined += more
     witness = None
-    for u in range(graph.n):
-        du = d[u]
-        if du > M:
-            continue
-        to, w = graph.out_edges(u)
-        k = int(np.searchsorted(w, 2.0 * (M - du), side="right"))
-        examined += min(k + 1, to.shape[0])
-        i = _first_violation(d[to[:k]], du, w[:k])
-        if i >= 0:
-            witness = (u, int(to[i]), float(w[i]), float(du), float(d[to[i]]))
-            break
-    if witness is None:
-        for v in range(graph.n):
-            dv = d[v]
-            if dv < M:
-                continue
-            frm, w = graph.in_edges(v)
-            k = int(np.searchsorted(w, 2.0 * (dv - M), side="left"))
-            examined += min(k + 1, frm.shape[0])
-            seg_f, seg_w = frm[:k], w[:k]
-            gap = dv - d[seg_f] - seg_w
-            bad = np.nonzero(gap > _REL_EPS * np.maximum(1.0, d[seg_f] + seg_w))[0]
-            if bad.shape[0]:
-                i = int(bad[0])
-                witness = (int(seg_f[i]), v, float(seg_w[i]),
-                           float(d[seg_f[i]]), float(dv))
-                break
+    if found is not None:
+        witness, _, read = found
+        examined += read  # the witness row counts in full
     return _report(tree, d, examined, witness, max_distance=D, median=M)

@@ -110,9 +110,12 @@ def test_bench_verify_compare(tmp_path):
     rc = main(["bench", "verify-compare", "--n", "128", "--trials", "3",
                "--seed", "5", "--json", str(j)])
     assert rc == 0
-    summary = json.loads(j.read_text())["summary"]
+    payload = json.loads(j.read_text())
+    summary = payload["summary"]
     assert summary["forward_only_per_nlogn"] > 0.5
     assert summary["fb_per_n"] < 10
+    for row in payload["rows"]:  # wall times per verifier, JSON only
+        assert row["forward_only_wall_ns"] > 0 and row["fb_wall_ns"] > 0
 
 
 def test_invalid_usage_exits_1():

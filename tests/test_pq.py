@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
+from fbsp.graph import EXPONENTIAL, WEIBULL, WeightModel, gen_complete
+from fbsp.pq import (BinaryHeapQueue, BucketQueue, QueueStats, _Heap,
+                     bucket_defaults, replay)
+from fbsp.sssp import replay_trace
 
 
 def make_bucket(nbuckets=4, width=1.0):
@@ -212,3 +215,208 @@ def test_monotone_contract_holds_without_asserts():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["refused", "empty"]
+
+
+class ReferenceBucketQueue:
+    """The bucket queue before its split grouped items and shared one empty
+    sub-heap, frozen as the definition of what the queue must do: the same
+    extractions, keys and counters on every trace."""
+
+    def __init__(self, nbuckets, width):
+        self.B = int(nbuckets)
+        self.W = float(width)
+        self._pending = [None] * self.B
+        self._minkey = [math.inf] * self.B
+        self._a = 0
+        self._active = -1
+        self._subs = []
+        self._sub_idx = 0
+        self._nsubs = 0
+        self._size = 0
+        self._cmps = [0]
+        self._last = -math.inf
+        self.stats = QueueStats()
+
+    def __len__(self):
+        return self._size
+
+    def _bucket_index(self, key):
+        i = int(key / self.W)
+        return i if i < self.B else self.B - 1
+
+    def _sub_index(self, key):
+        j = int((key - self._active * self.W) * self._nsubs / self.W)
+        if j < 0:
+            return 0
+        return j if j < self._nsubs else self._nsubs - 1
+
+    def insert(self, item, key):
+        if key < self._last:
+            raise AssertionError("monotone-use contract violated")
+        self._size += 1
+        self.stats.inserts += 1
+        i = self._bucket_index(key)
+        if i == self._active:
+            j = 0 if self._nsubs == 1 else self._sub_index(key)
+            heap = self._subs[j]
+            heap.push(key, item)
+            if j < self._sub_idx:
+                self._sub_idx = j
+            self.stats.late_inserts += 1
+            self.stats.heap_comparisons = self._cmps[0]
+            if len(heap) > self.stats.max_subbucket_size:
+                self.stats.max_subbucket_size = len(heap)
+            return
+        if i < self._a and self._active != -1:
+            raise AssertionError("insert below the active bucket")
+        bucket = self._pending[i]
+        if bucket is None:
+            bucket = self._pending[i] = []
+        bucket.append((key, item))
+        if key < self._minkey[i]:
+            self._minkey[i] = key
+        if i < self._a:
+            self._a = i
+
+    def _split(self, i):
+        items = self._pending[i]
+        self._pending[i] = None
+        self._minkey[i] = math.inf
+        b = len(items)
+        self._active = i
+        self._sub_idx = 0
+        self.stats.splits += 1
+        if i == self.B - 1:
+            self._nsubs = 1
+            heap = _Heap(self._cmps)
+            for key, item in items:
+                heap.push(key, item)
+            self._subs = [heap]
+            if b > self.stats.max_subbucket_size:
+                self.stats.max_subbucket_size = b
+            return
+        self._nsubs = b
+        self._subs = [_Heap(self._cmps) for _ in range(b)]
+        for key, item in items:
+            self._subs[self._sub_index(key)].push(key, item)
+        for heap in self._subs:
+            if len(heap) > self.stats.max_subbucket_size:
+                self.stats.max_subbucket_size = len(heap)
+
+    def _locate(self):
+        if not self._size:
+            return 0
+        while True:
+            if self._active == self._a:
+                while self._sub_idx < self._nsubs:
+                    if len(self._subs[self._sub_idx]):
+                        return 1
+                    self._sub_idx += 1
+                self._active = -1
+                self._subs = []
+                self._a += 1
+                continue
+            if self._pending[self._a]:
+                return 2
+            self._a += 1
+
+    def min_key(self):
+        where = self._locate()
+        if where == 0:
+            return math.inf
+        if where == 1:
+            return self._subs[self._sub_idx].peek_key()
+        return self._minkey[self._a]
+
+    def extract_min(self):
+        where = self._locate()
+        if where == 0:
+            return None
+        if where == 2:
+            self._split(self._a)
+            self._locate()
+        key, item = self._subs[self._sub_idx].pop()
+        self._size -= 1
+        self._last = key
+        self.stats.extracts += 1
+        self.stats.heap_comparisons = self._cmps[0]
+        return item, key
+
+
+def _drive(trace, queue):
+    """Replay ``trace`` probing min_key before every operation, as the
+    search's drain loop does; return every probe, extraction and the
+    counters."""
+    seen = []
+    serial = 0
+    for op in trace:
+        seen.append(queue.min_key())
+        if op[0] == "i":
+            queue.insert(serial, op[1])
+            serial += 1
+        else:
+            seen.append(queue.extract_min())
+    seen.append(queue.min_key())
+    return seen, queue.stats.as_dict()
+
+
+@pytest.mark.parametrize("kind,shape", [(EXPONENTIAL, None), (WEIBULL, 150.0)])
+def test_bucket_queue_matches_frozen_reference_on_search_traces(kind, shape):
+    for seed in range(3):
+        n = 300
+        g = gen_complete(n, WeightModel(kind, seed=seed, shape=shape))
+        rec = replay_trace(g, seed)
+        for trace in (rec.p_trace, rec.q_trace):
+            for nb, w in (bucket_defaults(n), (3, 0.002), (n // 4, 4.0 / n)):
+                want = _drive(trace, ReferenceBucketQueue(nb, w))
+                assert _drive(trace, BucketQueue(nb, w)) == want
+
+
+def test_bucket_queue_matches_frozen_reference_on_random_traces():
+    rng = random.Random(31)
+    late = 0
+    for trial in range(300):
+        nb = rng.randint(1, 6)
+        w = rng.choice([0.05, 0.3, 1.0])
+        trace = _random_monotone_trace(rng, rng.randint(0, 120),
+                                       key_scale=nb * w * rng.choice([0.5, 2.0]),
+                                       start_batch=rng.randint(0, 40))
+        want = _drive(trace, ReferenceBucketQueue(nb, w))
+        assert _drive(trace, BucketQueue(nb, w)) == want
+        late += want[1]["late_inserts"]
+    assert late > 0
+
+
+def test_late_insert_into_an_empty_sub_bucket_gets_its_own_heap():
+    q = make_bucket(nbuckets=2, width=10.0)
+    for k in (0.5, 1.0, 6.0, 7.0):
+        q.insert(k, k)
+    # the split leaves sub-buckets [2.5, 5) and [7.5, 10) empty
+    assert q.extract_min()[1] == 0.5
+    q.insert(9.0, 9.0)
+    assert [q.extract_min()[1] for _ in range(4)] == [1.0, 6.0, 7.0, 9.0]
+    assert q.stats.late_inserts == 1
+    assert not q._empty.a
+
+
+def test_split_places_boundary_keys_where_late_inserts_go():
+    # keys on the sub-bucket boundaries, where (key - lo) * b / W and a
+    # rearranged (key - lo) * (b / W) can round to different sub-buckets
+    rng = random.Random(5)
+    for trial in range(400):
+        nb = rng.randint(2, 6)
+        w = rng.choice([0.1, 0.3, 1 / 7, 1e-3])
+        i = rng.randrange(nb - 1)
+        b = rng.randint(2, 40)
+        keys = sorted(i * w + rng.randint(0, b - 1) * w / b for _ in range(b))
+        keys = [k for k in keys if int(k / w) == i][:b]
+        q = BucketQueue(nb, w)
+        for k in keys:
+            q.insert(k, k)
+        if not keys:
+            continue
+        q.extract_min()
+        for j, heap in enumerate(q._subs):
+            assert all(q._sub_index(k) == j for k, _ in heap.a)
+
+
