@@ -11,11 +11,11 @@ from .graph import (EXPLICIT, EXPONENTIAL, UNIFORM, WEIBULL, GraphError,
                     complete_cost_matrix, gen_complete, load, save)
 from .pq import (BinaryHeapQueue, BucketQueue, MonotoneQueue, QueueStats,
                  bucket_defaults, replay)
-from .sssp import (FbConfig, FbRecording, ScanStats, ShortestPathTree,
-                   dijkstra, fb_sssp, replay_trace, spira)
+from .sssp import (FbRecording, ScanStats, ShortestPathTree, dijkstra,
+                   fb_sssp, replay_trace, spira)
 from .verify import (VerifyError, VerifyReport, select_median, tree_distances,
                      verify_fb, verify_forward_only, verify_full)
-from .apsp import ApspConfig, ApspResult, apsp
+from .apsp import ApspResult, apsp
 from .oracle import (PertinenceCounts, PertinenceRates, SptSample,
                      classify_pertinence, harmonic_expected_distance,
                      pertinence_rates, sample_pertinence_counts, sample_spt,

@@ -29,10 +29,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import oracle
-from .apsp import ApspConfig, apsp
+from .apsp import apsp
 from .graph import (EXPONENTIAL, UNIFORM, WEIBULL, GraphError, SortedDigraph,
                     WeightModel, gen_complete, load, save)
-from .sssp import FbConfig, dijkstra, fb_sssp, spira
+from .sssp import dijkstra, fb_sssp, spira
 from .verify import (VerifyError, verify_fb, verify_forward_only, verify_full)
 
 _MASK = (1 << 64) - 1
@@ -127,28 +127,10 @@ def _model_from_args(args, seed: int) -> WeightModel:
     return WeightModel(kind, seed=seed, shape=shape)
 
 
-def _fb_config(args) -> FbConfig:
-    nb, w = args.bucket_b, args.bucket_w
-    if nb is not None or w is not None:
-        if args.pq != "bucket":
-            raise CliError("--bucket-b/--bucket-w require --pq bucket")
-        if getattr(args, "algo", "fb") != "fb":
-            raise CliError("--bucket-b/--bucket-w require --algo fb")
-    return FbConfig(pq=args.pq, nbuckets=nb, width=w)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {text}")
     return value
 
 
@@ -163,31 +145,21 @@ def _add_model_flags(p, with_n=True):
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
-def _add_queue_flags(p):
-    p.add_argument("--pq", choices=["bucket", "binheap"], default="bucket")
-    p.add_argument("--bucket-b", type=_positive_int, default=None,
-                   help="bucket count")
-    p.add_argument("--bucket-w", type=_positive_float, default=None,
-                   help="bucket width")
-
-
-def _check_trials(args) -> None:
-    if getattr(args, "trials", 1) < 1:
-        raise CliError("--trials must be at least 1")
-
-
-def _run_algo(algo: str, graph: SortedDigraph, source: int, fb_cfg: FbConfig):
+def _run_algo(algo: str, graph: SortedDigraph, source: int):
     t0 = time.perf_counter_ns()
     if algo == "dijkstra":
         tree, stats = dijkstra(graph, source), None
     elif algo == "spira":
         tree, stats = spira(graph, source)
     elif algo == "fb":
-        tree, stats = fb_sssp(graph, source, config=fb_cfg)
+        tree, stats = fb_sssp(graph, source)
     else:
         raise CliError(f"unknown algorithm {algo!r}")
     return tree, stats, time.perf_counter_ns() - t0
 
+
+# the one priority queue each algorithm runs on, reported in the pq column
+_QUEUE = {"fb": "bucket", "spira": "binheap", "dijkstra": "heapq"}
 
 _SSSP_COUNTERS = ["forward_scans", "backward_scans", "p_inserts", "p_extracts",
                   "q_inserts", "q_extracts", "requests", "urgent_requests"]
@@ -205,12 +177,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sssp(args) -> int:
-    _check_trials(args)
-    fb_cfg = _fb_config(args)
     if args.graph is None and args.n is None:
         raise CliError("either --n or --graph is required")
     model_echo = {"dist": args.dist, "shape": args.shape,
                   "directed": not args.undirected}
+    pq = _QUEUE[args.algo]
     rows = []
     csv_rows = []
     t_all = time.perf_counter_ns()
@@ -222,9 +193,9 @@ def _cmd_sssp(args) -> int:
         else:
             graph = gen_complete(args.n, _model_from_args(args, seed),
                                  directed=not args.undirected)
-        tree, stats, ns = _run_algo(args.algo, graph, args.source, fb_cfg)
+        tree, stats, ns = _run_algo(args.algo, graph, args.source)
         row = {"trial": t, "seed": seed, "algo": args.algo, "n": graph.n,
-               **model_echo, "pq": args.pq, "source": args.source,
+               **model_echo, "pq": pq, "source": args.source,
                "wall_time_ns": ns}
         if stats is not None:
             row.update(stats.as_dict())
@@ -233,7 +204,7 @@ def _cmd_sssp(args) -> int:
             row.update({"median": None, "size_at_median": None})
         rows.append(row)
         csv_rows.append([t, seed, args.algo, graph.n, args.dist, args.shape,
-                         int(not args.undirected), args.pq, args.source]
+                         int(not args.undirected), pq, args.source]
                         + [row[k] for k in _SSSP_COUNTERS]
                         + [row["median"], row["size_at_median"]])
         print(f"trial {t}: " + (f"scans={stats.total_scans} "
@@ -244,7 +215,7 @@ def _cmd_sssp(args) -> int:
     payload = {
         "config": {"command": "sssp", "algo": args.algo, "n": args.n,
                    "trials": args.trials, "master_seed": args.seed,
-                   "pq": args.pq, "csv_schema": 1, **model_echo},
+                   "pq": pq, "csv_schema": 1, **model_echo},
         "rows": rows,
         "aggregate": _aggregate(rows, _SSSP_COUNTERS),
         "wall_time_ns": time.perf_counter_ns() - t_all,
@@ -255,7 +226,6 @@ def _cmd_sssp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fb_cfg = _fb_config(args)
     if args.graph is None and args.n is None:
         raise CliError("either --n or --graph is required")
     seed = seed_derivation(args.seed, 0)
@@ -264,7 +234,7 @@ def _cmd_verify(args) -> int:
     else:
         graph = gen_complete(args.n, _model_from_args(args, seed),
                              directed=not args.undirected)
-    tree, _, _ = _run_algo(args.algo, graph, args.source, fb_cfg)
+    tree, _, _ = _run_algo(args.algo, graph, args.source)
     checker = {"full": verify_full, "forward": verify_forward_only,
                "fb": verify_fb}[args.mode]
     report = checker(graph, tree)
@@ -279,19 +249,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apsp(args) -> int:
-    fb_cfg = _fb_config(args)
     seed = seed_derivation(args.seed, 0)
     graph = gen_complete(args.n, _model_from_args(args, seed),
                          directed=not args.undirected)
-    result = apsp(graph, ApspConfig(fb=fb_cfg, threads=args.threads))
+    result = apsp(graph)
     if args.dump:
         blob = _MAGIC + struct.pack("<Q", graph.n) + result.dist.tobytes()
         _atomic_write(_out_path(args.dump), blob)
     per_source = [s.as_dict() for s in result.per_source_stats]
     payload = {
         "config": {"command": "apsp", "n": args.n, "master_seed": args.seed,
-                   "threads": args.threads, "dist": args.dist,
-                   "shape": args.shape, "directed": not args.undirected},
+                   "dist": args.dist, "shape": args.shape,
+                   "directed": not args.undirected},
         "total_scans": result.total_scans,
         "scans_per_n2": result.total_scans / (args.n ** 2),
         "preprocess_time": result.preprocess_time,
@@ -310,7 +279,6 @@ _SAMPLE_CSV = ["trial", "seed", "n", "directed", "out_spt", "in_spt",
 
 
 def _cmd_sample(args) -> int:
-    _check_trials(args)
     rows = []
     csv_rows = []
     directed = not args.undirected
@@ -363,8 +331,6 @@ def _parse_n_list(text: str) -> List[int]:
 
 
 def _cmd_bench_scan_scaling(args) -> int:
-    _check_trials(args)
-    fb_cfg = _fb_config(args)
     sizes = _parse_n_list(args.n)
     directed = not args.undirected
     table = []
@@ -375,7 +341,7 @@ def _cmd_bench_scan_scaling(args) -> int:
             seed = seed_derivation(args.seed, t)
             graph = gen_complete(n, _model_from_args(args, seed),
                                  directed=directed)
-            _, stats, _ = _run_algo(args.algo, graph, 0, fb_cfg)
+            _, stats, _ = _run_algo(args.algo, graph, 0)
             per_n.append(stats.total_scans)
             csv_rows.append([n, t, seed, stats.forward_scans,
                              stats.backward_scans, stats.total_scans])
@@ -398,7 +364,6 @@ def _cmd_bench_scan_scaling(args) -> int:
 
 
 def _cmd_bench_verify_compare(args) -> int:
-    _check_trials(args)
     n = args.n_single
     directed = not args.undirected
     rows = []
@@ -457,9 +422,8 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", default=None, help="load this graph file "
                    "instead of generating one per trial")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    _add_queue_flags(p)
     p.add_argument("--source", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--json", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write per-trial CSV here")
     p.set_defaults(func=_cmd_sssp)
@@ -471,15 +435,12 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", default=None)
     p.add_argument("--mode", choices=["full", "forward", "fb"], default="fb")
     p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    _add_queue_flags(p)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("apsp", help="all-pairs shortest paths")
     _add_model_flags(p)
-    p.add_argument("--threads", type=_positive_int, default=1)
-    _add_queue_flags(p)
     p.add_argument("--dump", default=None,
                    help="write the distance matrix here (16-byte header: "
                         "8-byte magic + little-endian uint64 n; then "
@@ -489,7 +450,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="sample random trees and pertinence counts")
     _add_model_flags(p)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--tail-threshold", type=float, default=None,
                    help="also report Pr[pertinent edges >= threshold*n]")
     p.add_argument("--json", default=None)
@@ -503,8 +464,7 @@ def build_parser() -> _Parser:
     b.add_argument("--n", required=True, help="comma-separated sizes")
     _add_model_flags(b, with_n=False)
     b.add_argument("--algo", choices=["spira", "fb"], default="fb")
-    _add_queue_flags(b)
-    b.add_argument("--trials", type=int, default=5)
+    b.add_argument("--trials", type=_positive_int, default=5)
     b.add_argument("--json", default=None)
     b.add_argument("--csv", default=None)
     b.set_defaults(func=_cmd_bench_scan_scaling)
@@ -514,7 +474,7 @@ def build_parser() -> _Parser:
     b.add_argument("--n", dest="n_single", type=int, required=True)
     b.add_argument("--undirected", action="store_true")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--trials", type=int, default=5)
+    b.add_argument("--trials", type=_positive_int, default=5)
     b.add_argument("--json", default=None)
     b.add_argument("--csv", default=None)
     b.set_defaults(func=_cmd_bench_verify_compare)

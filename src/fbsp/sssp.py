@@ -76,29 +76,6 @@ class ScanStats:
         }
 
 
-@dataclass
-class FbConfig:
-    """Queue selection for the forward-backward run.
-
-    ``pq`` is "bucket" (two-level bucket queues, the default) or "binheap".
-    ``nbuckets``/``width`` override the bucket parameters, which otherwise
-    default to B = n and W = 1/(n ln n).
-    """
-
-    pq: str = "bucket"
-    nbuckets: Optional[int] = None
-    width: Optional[float] = None
-
-    def make_queue(self, n: int) -> MonotoneQueue:
-        if self.pq == "binheap":
-            return BinaryHeapQueue()
-        if self.pq == "bucket":
-            nb, w = bucket_defaults(n)
-            return BucketQueue(nb if self.nbuckets is None else self.nbuckets,
-                               w if self.width is None else self.width)
-        raise ValueError(f"unknown queue kind {self.pq!r}")
-
-
 def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:
     """Exact shortest path tree; the oracle for the lazier algorithms.
 
@@ -166,7 +143,6 @@ def spira(graph: SortedDigraph, source: int
 
 
 def fb_sssp(graph: SortedDigraph, source: int,
-            config: Optional[FbConfig] = None,
             record: Optional[FbRecording] = None
             ) -> Tuple[ShortestPathTree, ScanStats]:
     """Forward-backward SSSP.  Requires sorted out- and in-adjacency.
@@ -182,18 +158,20 @@ def fb_sssp(graph: SortedDigraph, source: int,
       backward-scans the next incoming edge of v and is appended to Req[u]
       (scanned immediately -- an "urgent request" -- if u is settled but has
       no edge in P).
+
+    P and Q are two-level bucket queues with B = n buckets of width
+    W = 1/(n ln n) (:func:`~fbsp.pq.bucket_defaults`).
     """
     _check_source(graph, source)
-    if config is None:
-        config = FbConfig()
     n = graph.n
-    P, Q = config.make_queue(n), config.make_queue(n)
     if n == 1:
         # the median vertex is the source itself, which has no edges
         return (ShortestPathTree(source, np.full(1, -1, dtype=np.int64),
                                  np.zeros(1)),
                 ScanStats(median=0.0, size_at_median=1))
-    return _search(graph, source, P, Q, record)
+    nb, w = bucket_defaults(n)
+    return _search(graph, source, BucketQueue(nb, w), BucketQueue(nb, w),
+                   record)
 
 
 def _check_source(graph: SortedDigraph, source: int) -> None:
@@ -329,10 +307,9 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
                              np.array(dist)), stats)
 
 
-def replay_trace(graph: SortedDigraph, source: int,
-                 config: Optional[FbConfig] = None) -> FbRecording:
+def replay_trace(graph: SortedDigraph, source: int) -> FbRecording:
     """Run fb_sssp recording every queue operation; the returned traces can
     be replayed against any monotone queue implementation."""
     rec = FbRecording()
-    fb_sssp(graph, source, config=config, record=rec)
+    fb_sssp(graph, source, record=rec)
     return rec

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +105,10 @@ def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
     """Distances along the tree given by ``parent`` (-1 marks no parent).
 
     Looks up every parent edge in one row-window scan of the in-lists, then
-    walks the tree from the root.  Rejects parent arrays that contain cycles
-    or refer to edges absent from the graph; vertices with no parent other
-    than the source get distance +inf.
+    walks the tree from the root.  Rejects parent arrays that contain cycles,
+    chains of parents that end short of the source, or edges absent from
+    the graph; vertices with no parent other than the source get distance
+    +inf.
     """
     n = graph.n
     parent = np.asarray(parent, dtype=np.int64)
@@ -148,9 +149,25 @@ def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
             visited += 1
             stack.append(v)
     dist = np.array(dist)
-    if visited < n and not np.isfinite(dist[kids]).all():
-        raise VerifyError("parent array contains a cycle")
+    if visited < n:
+        cut = kids[~np.isfinite(dist[kids])]
+        if cut.shape[0]:
+            raise VerifyError(_unrooted(parent.tolist(), int(cut[0])))
     return dist
+
+
+def _unrooted(parent: List[int], v: int) -> str:
+    """Why the parent chain of ``v`` misses the source: a cycle, or a
+    vertex with no parent."""
+    seen = set()
+    u = v
+    while parent[u] >= 0:
+        if u in seen:
+            return "parent array contains a cycle"
+        seen.add(u)
+        u = parent[u]
+    return (f"parent chain of {v} ends at {u}, which has no parent "
+            "and is not the source")
 
 
 def select_median(dist: Sequence[float]) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsp.apsp import ApspConfig, apsp
+from fbsp.apsp import apsp
 from fbsp.graph import (EXPONENTIAL, GraphError, WeightModel,
                         complete_cost_matrix, gen_complete)
 from fbsp.sssp import dijkstra
@@ -39,22 +39,6 @@ def test_symmetric_input_gives_symmetric_matrix():
     g = gen_complete(24, WeightModel(EXPONENTIAL, seed=6), directed=False)
     result = apsp(g)
     np.testing.assert_allclose(result.dist, result.dist.T, rtol=1e-9)
-
-
-def test_threads_do_not_change_output():
-    g = gen_complete(20, WeightModel(EXPONENTIAL, seed=8))
-    seq = apsp(g, ApspConfig(threads=1))
-    par = apsp(g, ApspConfig(threads=2))
-    np.testing.assert_array_equal(seq.dist, par.dist)
-    assert [s.as_dict() for s in seq.per_source_stats] == \
-           [s.as_dict() for s in par.per_source_stats]
-
-
-def test_rejects_bad_thread_counts():
-    g = gen_complete(5, WeightModel(EXPONENTIAL, seed=3))
-    for threads in (0, -3):
-        with pytest.raises(ValueError):
-            apsp(g, ApspConfig(threads=threads))
 
 
 def test_rejects_bad_matrices():

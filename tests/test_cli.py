@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import struct
 
@@ -66,7 +68,7 @@ def test_verify_accepts_own_tree(tmp_path):
 def test_apsp_matrix_dump(tmp_path):
     dump = tmp_path / "m.bin"
     j = tmp_path / "a.json"
-    rc = main(["apsp", "--n", "18", "--seed", "4", "--threads", "2",
+    rc = main(["apsp", "--n", "18", "--seed", "4",
                "--dump", str(dump), "--json", str(j)])
     assert rc == 0
     blob = dump.read_bytes()
@@ -119,14 +121,14 @@ def test_bench_verify_compare(tmp_path):
 
 
 def test_invalid_usage_exits_1():
-    assert main(["sssp", "--n", "10", "--pq", "binheap",
-                 "--bucket-w", "0.5"]) == 1   # width without bucket pq
     assert main(["sssp", "--n", "10", "--dist", "weibull"]) == 1  # no shape
     assert main(["nonsense"]) == 1
     assert main(["sssp"]) == 1  # missing --n
     assert main(["gen", "--n", "0", "--out", "/tmp/x.txt"]) == 1
     assert main(["sssp", "--n", "10", "--trials", "0"]) == 1
     assert main(["sample", "--n", "10", "--trials", "-3"]) == 1
+    assert main(["bench", "scan-scaling", "--n", "10", "--trials", "0"]) == 1
+    assert main(["bench", "verify-compare", "--n", "10", "--trials", "-3"]) == 1
 
 
 def test_output_dir_env(tmp_path, monkeypatch):
@@ -145,34 +147,66 @@ def test_end_to_end_determinism(tmp_path):
 
 
 def test_bad_bucket_parameters_exit_1(capsys):
-    for flags in (["--bucket-b", "0"], ["--bucket-b", "-4"],
-                  ["--bucket-w", "0"], ["--bucket-w", "inf"],
-                  ["--bucket-w", "nan"], ["--bucket-b", "0", "--bucket-w", "0"]):
-        capsys.readouterr()
-        assert main(["sssp", "--n", "50"] + flags) == 1
-        err = capsys.readouterr().err
-        assert "argument --bucket-" in err
-        assert "NaN" not in err
-    # bucket flags only shape fb_sssp's queues; elsewhere they would be ignored
+    # every algorithm runs on its one fixed queue; queue flags are unknown
     for cmd in (["sssp", "--n", "50"], ["verify", "--n", "50"],
+                ["apsp", "--n", "10"],
                 ["bench", "scan-scaling", "--n", "20", "--trials", "1"]):
-        for flags in (["--bucket-b", "5"], ["--bucket-w", "0.1"],
-                      ["--bucket-b", "5", "--bucket-w", "0.1"]):
+        for flags in (["--pq", "bucket"], ["--pq", "binheap"],
+                      ["--bucket-b", "5"], ["--bucket-w", "0.1"]):
             capsys.readouterr()
-            assert main(cmd + ["--algo", "spira"] + flags) == 1
-            assert "require --algo fb" in capsys.readouterr().err
-            if cmd[0] != "bench":
-                assert main(cmd + ["--algo", "dijkstra"] + flags) == 1
-        assert main(cmd + ["--algo", "fb", "--bucket-b", "5",
-                           "--bucket-w", "0.1"]) == 0
+            assert main(cmd + flags) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_apsp_rejects_negative_threads(capsys):
-    assert main(["apsp", "--n", "20", "--threads", "-3"]) == 1
-    assert "argument --threads" in capsys.readouterr().err
-    assert main(["apsp", "--n", "20", "--threads", "0"]) == 1
+    # apsp runs its sources in one loop; there is no thread count to set
+    for threads in ("-3", "0", "2"):
+        capsys.readouterr()
+        assert main(["apsp", "--n", "20", "--threads", threads]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_without_n_or_graph_exits_1(capsys):
     assert main(["verify", "--seed", "1"]) == 1
     assert "either --n or --graph is required" in capsys.readouterr().err
+
+
+def test_pq_column_names_the_queue_each_algorithm_runs(tmp_path):
+    for algo, queue in (("fb", "bucket"), ("spira", "binheap"),
+                        ("dijkstra", "heapq")):
+        c, j = tmp_path / f"{algo}.csv", tmp_path / f"{algo}.json"
+        assert main(["sssp", "--n", "12", "--algo", algo, "--trials", "2",
+                     "--csv", str(c), "--json", str(j)]) == 0
+        rows = list(csv.DictReader(io.StringIO(c.read_text())))
+        assert [row["pq"] for row in rows] == [queue, queue]
+        payload = json.loads(j.read_text())
+        assert payload["config"]["pq"] == queue
+        assert [row["pq"] for row in payload["rows"]] == [queue, queue]
+
+
+GOLDEN_HEADER = ("trial,seed,algo,n,model,shape,directed,pq,source,"
+                 "forward_scans,backward_scans,p_inserts,p_extracts,"
+                 "q_inserts,q_extracts,requests,urgent_requests,median,"
+                 "size_at_median\n")
+
+GOLDEN_CSV = {
+    "fb": GOLDEN_HEADER
+    + "0,7191089600892374487,fb,30,exp,,1,bucket,0,65,41,61,52,41,35,26,6,"
+      "0.09726578957465903,15\n"
+    + "1,309689372594955804,fb,30,exp,,1,bucket,0,77,42,74,62,42,41,27,5,"
+      "0.14724282404448003,15\n",
+    # the counters as before; only the pq cell changed, from bucket
+    "spira": GOLDEN_HEADER
+    + "0,7191089600892374487,spira,30,exp,,1,binheap,0,102,0,102,72,0,0,0,0,"
+      ",0\n"
+    + "1,309689372594955804,spira,30,exp,,1,binheap,0,110,0,110,80,0,0,0,0,"
+      ",0\n",
+}
+
+
+def test_sssp_csv_matches_golden_bytes(tmp_path):
+    for algo, golden in GOLDEN_CSV.items():
+        c = tmp_path / f"{algo}.csv"
+        assert main(["sssp", "--n", "30", "--seed", "7", "--trials", "2",
+                     "--algo", algo, "--csv", str(c)]) == 0
+        assert c.read_bytes() == golden.encode("ascii"), algo

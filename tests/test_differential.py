@@ -9,7 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fbsp.graph import build_sorted_adjacency
-from fbsp.sssp import FbConfig, ShortestPathTree, dijkstra, fb_sssp, spira
+from fbsp.pq import BinaryHeapQueue, BucketQueue, replay
+from fbsp.sssp import (FbRecording, ShortestPathTree, dijkstra, fb_sssp,
+                       spira)
 from fbsp.verify import (VerifyError, tree_distances, verify_fb,
                          verify_forward_only, verify_full)
 
@@ -39,12 +41,8 @@ def bellman_ford(n, edges, source):
     return dist
 
 
-CONFIGS = st.one_of(
-    st.just(FbConfig(pq="binheap")),
-    st.just(FbConfig()),
-    st.builds(lambda b, w: FbConfig(nbuckets=b, width=w),
-              st.integers(min_value=1, max_value=9),
-              st.sampled_from([1e-3, 0.05, 0.5, 2.0, 1e7])))
+BUCKETS = st.tuples(st.integers(min_value=1, max_value=9),
+                    st.sampled_from([1e-3, 0.05, 0.5, 2.0, 1e7]))
 
 
 def verdicts(g, tree):
@@ -61,13 +59,21 @@ def test_algorithms_and_verifiers_agree_with_bellman_ford(graph, data):
     n, edges = graph
     g = build_sorted_adjacency(edges, n)
     source = data.draw(st.integers(min_value=0, max_value=n - 1))
-    config = data.draw(CONFIGS)
     expected = bellman_ford(n, edges, source)
+    rec = FbRecording()
     trees = [dijkstra(g, source), spira(g, source)[0],
-             fb_sssp(g, source, config)[0]]
+             fb_sssp(g, source, record=rec)[0]]
     for tree in trees:
         np.testing.assert_allclose(tree.dist, expected, rtol=1e-12, atol=0)
         assert all(verdicts(g, tree))
+
+    # any bucket geometry, and a binary heap, would have driven the same
+    # search: each extracts what the default queues did from their traces
+    b, w = data.draw(BUCKETS)
+    for trace, recorded in ((rec.p_trace, rec.p_extract_keys),
+                            (rec.q_trace, rec.q_extract_keys)):
+        assert replay(trace, BucketQueue(b, w)) == recorded
+        assert replay(trace, BinaryHeapQueue()) == recorded
 
     # move one vertex to another reachable in-neighbour; the wrong tree
     # carries its own distances, so only an edge scan can reject it

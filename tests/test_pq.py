@@ -181,10 +181,10 @@ def test_stats_counters():
 
 
 def test_bad_config_rejected():
-    with pytest.raises(ValueError):
-        BucketQueue(0, 1.0)
-    with pytest.raises(ValueError):
-        BucketQueue(4, 0.0)
+    for nb, w in ((0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0), (4, math.inf),
+                  (4, math.nan)):
+        with pytest.raises(ValueError):
+            BucketQueue(nb, w)
 
 
 def test_bucket_defaults():

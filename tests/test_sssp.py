@@ -6,7 +6,7 @@ import pytest
 
 from fbsp.graph import EXPONENTIAL, WeightModel, build_sorted_adjacency, gen_complete
 from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
-from fbsp.sssp import (FbConfig, ScanStats, ShortestPathTree, dijkstra,
+from fbsp.sssp import (FbRecording, ScanStats, ShortestPathTree, dijkstra,
                        fb_sssp, replay_trace, spira)
 
 INF = math.inf
@@ -199,16 +199,23 @@ def test_fb_handles_unreachable_vertices():
 @pytest.mark.parametrize("pq", ["bucket", "binheap"])
 @pytest.mark.parametrize("directed", [True, False])
 def test_algorithms_agree_on_random_complete_graphs(pq, directed):
-    cfg = FbConfig(pq=pq)
+    # fb_sssp runs on bucket queues; replaying its recorded traces into
+    # ``pq`` shows that queue would have driven the same search
     for seed in range(30):
         n = 2 + (seed * 7) % 40
         g = gen_complete(n, WeightModel(EXPONENTIAL, seed=seed),
                          directed=directed)
         ref = dijkstra(g, 0).dist
-        got_fb, _ = fb_sssp(g, 0, config=cfg)
+        rec = FbRecording()
+        got_fb, _ = fb_sssp(g, 0, record=rec)
         got_sp, _ = spira(g, 0)
         np.testing.assert_allclose(got_fb.dist, ref, rtol=1e-9)
         np.testing.assert_allclose(got_sp.dist, ref, rtol=1e-9)
+        for trace, recorded in ((rec.p_trace, rec.p_extract_keys),
+                                (rec.q_trace, rec.q_extract_keys)):
+            queue = (BucketQueue(*bucket_defaults(n)) if pq == "bucket"
+                     else BinaryHeapQueue())
+            assert replay(trace, queue) == recorded
 
 
 @pytest.mark.parametrize("kind,shape", [("uniform", None), ("weibull", 0.5),
@@ -367,15 +374,6 @@ def test_trace_replays_identically_on_both_queues():
         assert heap_keys == bucket_keys == recorded
 
 
-def test_fb_deterministic_across_queue_choice():
-    g = gen_complete(150, WeightModel(EXPONENTIAL, seed=13))
-    t1, s1 = fb_sssp(g, 0, config=FbConfig(pq="bucket"))
-    t2, s2 = fb_sssp(g, 0, config=FbConfig(pq="binheap"))
-    np.testing.assert_array_equal(t1.dist, t2.dist)
-    assert s1.forward_scans == s2.forward_scans
-    assert s1.q_inserts == s2.q_inserts
-
-
 def test_source_out_of_range():
     g = gen_complete(4, WeightModel(EXPONENTIAL, seed=0))
     for fn in (dijkstra, spira, fb_sssp):
@@ -389,15 +387,3 @@ def test_multigraph_keeps_the_cheapest_copy():
         assert tree.dist[1] == 1.0
         assert tree.parent[1] == 0
 
-
-def test_make_queue_keeps_explicit_values_and_rejects_bad_ones():
-    q = FbConfig(nbuckets=3, width=0.5).make_queue(100)
-    assert (q.B, q.W) == (3, 0.5)
-    for nb, w in ((0, None), (-2, None), (None, 0.0), (None, -1.0),
-                  (None, math.inf), (None, math.nan)):
-        with pytest.raises(ValueError):
-            FbConfig(nbuckets=nb, width=w).make_queue(100)
-    # a one-vertex run returns before its queues see use, but still builds them
-    g = gen_complete(1, WeightModel(EXPONENTIAL, seed=0))
-    with pytest.raises(ValueError):
-        fb_sssp(g, 0, config=FbConfig(nbuckets=0))

@@ -24,6 +24,18 @@ def test_tree_distances_detects_cycle():
         tree_distances(g, [-1, 2, 1], 0)
 
 
+def test_tree_distances_names_a_chain_that_ends_short_of_the_source():
+    g = build_sorted_adjacency([(0, 1, 1.0), (1, 2, 1.0), (3, 2, 1.0)], 4)
+    with pytest.raises(VerifyError) as exc:
+        tree_distances(g, [-1, 0, 3, -1], 0)
+    assert str(exc.value) == ("parent chain of 2 ends at 3, which has no "
+                              "parent and is not the source")
+    # a chain that runs into a cycle is still reported as a cycle
+    g = build_sorted_adjacency([(2, 1, 1.0), (3, 2, 1.0), (2, 3, 1.0)], 4)
+    with pytest.raises(VerifyError, match="cycle"):
+        tree_distances(g, [-1, 2, 3, 2], 0)
+
+
 def test_tree_distances_rejects_missing_edge():
     g = build_sorted_adjacency([(0, 1, 1.0)], n=3)
     with pytest.raises(VerifyError, match="not in the graph"):
@@ -262,9 +274,15 @@ def reference_tree_distances(graph, parent, source):
             dist[v] = du + cost[v]
             visited += 1
             stack.append(v)
-    if visited < n and any(parent[v] >= 0 and not math.isfinite(dist[v])
-                           for v in range(n)):
-        raise VerifyError("parent array contains a cycle")
+    for v in range(n):
+        if parent[v] >= 0 and not math.isfinite(dist[v]):
+            chain = [v]
+            while parent[chain[-1]] >= 0 and chain.count(chain[-1]) == 1:
+                chain.append(parent[chain[-1]])
+            if parent[chain[-1]] >= 0:
+                raise VerifyError("parent array contains a cycle")
+            raise VerifyError(f"parent chain of {v} ends at {chain[-1]}, "
+                              "which has no parent and is not the source")
     return dist
 
 
@@ -438,7 +456,8 @@ def test_fast_verifiers_match_frozen_references_on_multigraphs():
         g = build_sorted_adjacency(edges, n)
         tree = dijkstra(g, 0)
         assert_matches_reference(g, tree)
-        # random parents: cycles, parents out of range, edges not in g
+        # random parents: cycles, parents out of range, edges not in g,
+        # chains that end short of the source
         parent = rng.integers(-1, n + 2, n)
         parent[0] = -1
         seen = assert_matches_reference(g, ShortestPathTree(0, parent, tree.dist))
@@ -446,7 +465,7 @@ def test_fast_verifiers_match_frozen_references_on_multigraphs():
         if n > 2:
             for wrong in reparented(g, tree, rng, 2):
                 assert_matches_reference(g, wrong)
-    assert errors >= {"range", "graph", "cycle"}
+    assert errors >= {"range", "graph", "cycle", "source"}
 
 
 def _widening_cases():
