@@ -6,11 +6,11 @@ machinery used to validate their average-case behaviour on randomly weighted
 complete graphs.
 """
 
-from .graph import (EXPLICIT, EXPONENTIAL, UNIFORM, WEIBULL, GraphError,
-                    SortedDigraph, WeightModel, build_sorted_adjacency,
-                    complete_cost_matrix, gen_complete, load, save)
-from .pq import (BinaryHeapQueue, BucketQueue, MonotoneQueue, QueueStats,
-                 bucket_defaults, replay)
+from .graph import (EXPONENTIAL, UNIFORM, WEIBULL, GraphError, SortedDigraph,
+                    WeightModel, build_sorted_adjacency, complete_cost_matrix,
+                    gen_complete, load, save)
+from .pq import (BinaryHeapQueue, BucketQueue, QueueStats, bucket_defaults,
+                 replay)
 from .sssp import (FbRecording, ScanStats, ShortestPathTree, dijkstra,
                    fb_sssp, replay_trace, spira)
 from .verify import (VerifyError, VerifyReport, select_median, tree_distances,

@@ -128,7 +128,11 @@ def _model_from_args(args, seed: int) -> WeightModel:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
@@ -365,6 +369,8 @@ def _cmd_bench_scan_scaling(args) -> int:
 
 def _cmd_bench_verify_compare(args) -> int:
     n = args.n_single
+    if n < 2:
+        raise CliError(f"--n must be at least 2, got {n}")
     directed = not args.undirected
     rows = []
     for t in range(args.trials):

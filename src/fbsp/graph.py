@@ -23,9 +23,8 @@ import numpy as np
 EXPONENTIAL = "exp"
 UNIFORM = "uniform"
 WEIBULL = "weibull"
-EXPLICIT = "explicit"
 
-_KINDS = (EXPONENTIAL, UNIFORM, WEIBULL, EXPLICIT)
+_KINDS = (EXPONENTIAL, UNIFORM, WEIBULL)
 
 
 class GraphError(ValueError):
@@ -34,8 +33,8 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Edge-cost distribution: exponential, uniform on [0,1], a power of an
-    exponential (``cost = Exp(1)**shape``), or explicit (caller-supplied)."""
+    """Edge-cost distribution: exponential, uniform on [0,1], or a power of
+    an exponential (``cost = Exp(1)**shape``)."""
 
     kind: str = EXPONENTIAL
     seed: int = 0
@@ -81,9 +80,7 @@ def _costs_from_uniform(u: np.ndarray, model: WeightModel) -> np.ndarray:
         return -np.log1p(-u)
     if model.kind == UNIFORM:
         return u
-    if model.kind == WEIBULL:
-        return (-np.log1p(-u)) ** model.shape
-    raise GraphError(f"cannot sample from model kind {model.kind!r}")
+    return (-np.log1p(-u)) ** model.shape  # WEIBULL
 
 
 class SortedDigraph:
@@ -218,8 +215,6 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     """
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    if model.kind == EXPLICIT:
-        raise GraphError("gen_complete needs a samplable weight model")
     n = int(n)
     base = _stream_base(model.seed)
 
@@ -245,8 +240,6 @@ def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> n
     """Dense cost matrix of the same graph :func:`gen_complete` would build."""
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    if model.kind == EXPLICIT:
-        raise GraphError("complete_cost_matrix needs a samplable weight model")
     base = _stream_base(model.seed)
     m = np.zeros((n, n))
     col = np.arange(n - 1)

@@ -7,16 +7,25 @@ with a smaller key is inserted.  Under that contract successive extractions
 return non-decreasing keys, and the two implementations extract the same key
 sequence for any operation trace (items with equal keys may swap places).
 
-Keys are non-negative finite floats.  ``min_key`` returns ``math.inf`` on an
-empty queue.  An insert that breaks the contract raises ``AssertionError``;
-the check is an explicit ``raise``, so it holds under ``python -O`` too.
+Both queues offer the same operations:
+
+* ``insert(item, key)`` adds an item; key must be >= the last extracted key;
+* ``min_key()`` returns the smallest key present, or ``math.inf`` when empty;
+* ``extract_min()`` removes and returns ``(item, key)``, or ``None`` when
+  empty;
+* ``len(queue)`` is the number of items, and ``stats`` its
+  :class:`QueueStats`.
+
+Keys are non-negative finite floats.  An insert that breaks the contract
+raises ``AssertionError``; the check is an explicit ``raise``, so it holds
+under ``python -O`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Union
 
 
 @dataclass
@@ -105,30 +114,7 @@ class _Heap:
         return top
 
 
-class MonotoneQueue:
-    """Interface shared by the queue implementations.
-
-    insert(item, key)   - add an item; key must be >= the last extracted key
-    min_key()           - smallest key present, or inf when empty
-    extract_min()       - remove and return (item, key), or None when empty
-    """
-
-    stats: QueueStats
-
-    def insert(self, item: Any, key: float) -> None:
-        raise NotImplementedError
-
-    def min_key(self) -> float:
-        raise NotImplementedError
-
-    def extract_min(self) -> Optional[Tuple[Any, float]]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class BinaryHeapQueue(MonotoneQueue):
+class BinaryHeapQueue:
     """Plain binary-heap monotone queue; also usable as a general heap."""
 
     __slots__ = ("_cmps", "_heap", "_last", "stats")
@@ -162,7 +148,7 @@ class BinaryHeapQueue(MonotoneQueue):
         return item, key
 
 
-class BucketQueue(MonotoneQueue):
+class BucketQueue:
     """Two-level bucket monotone priority queue.
 
     ``nbuckets`` fixed-width buckets of width ``width`` cover keys in
@@ -335,7 +321,7 @@ def bucket_defaults(n: int) -> Tuple[int, float]:
     return n, width
 
 
-def replay(trace, queue: MonotoneQueue) -> List[float]:
+def replay(trace, queue: Union[BinaryHeapQueue, BucketQueue]) -> List[float]:
     """Drive ``queue`` with a recorded trace; return the extraction keys.
 
     A trace is a sequence of operations: ``("i", key)`` inserts (items are

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .graph import SortedDigraph
-from .pq import BinaryHeapQueue, BucketQueue, MonotoneQueue, bucket_defaults
+from .pq import BinaryHeapQueue, BucketQueue, bucket_defaults
 
 INF = math.inf
 
@@ -179,24 +179,31 @@ def _check_source(graph: SortedDigraph, source: int) -> None:
         raise ValueError("source out of range")
 
 
-def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
-            Q: Optional[MonotoneQueue], record: Optional[FbRecording]
+def _search(graph: SortedDigraph, source: int,
+            P: Union[BinaryHeapQueue, BucketQueue], Q: Optional[BucketQueue],
+            record: Optional[FbRecording]
             ) -> Tuple[ShortestPathTree, ScanStats]:
     """The search loop of :func:`fb_sssp`; without Q the median switch
-    never fires, M stays infinite, and the loop is Spira's algorithm."""
+    never fires, M stays infinite, and the loop is Spira's algorithm.
+
+    Each vertex has one cursor per direction into the graph's CSR arrays:
+    a position and an end, which start at its row's bounds.  When the
+    median cuts a vertex's out-list, its end moves onto its position, so
+    the cursor test fails from then on.  The queue counts in the returned
+    :class:`ScanStats` are the queues' own, copied when the loop ends.
+    """
     n = graph.n
     dist = [INF] * n    # lists: their items read faster than an array's
     parent = [-1] * n
     dist[source] = 0.0
     stats = ScanStats()
 
-    out_to: list = [None] * n
-    out_w: list = [None] * n
-    out_cur = [0] * n
-    in_from: list = [None] * n
-    in_w: list = [None] * n
-    in_cur = [0] * n
-    out_ok = [True] * n     # Out[u] may still hold out-pertinent edges
+    out_to, out_w = graph.out_to, graph.out_w
+    in_from, in_w = graph.in_from, graph.in_w
+    out_at = graph.out_ptr.tolist()
+    out_end = out_at[1:]
+    in_at = graph.in_ptr.tolist()
+    in_end = in_at[1:]
     active = [False] * n    # u currently has an edge in P
     req: List[list] = [[] for _ in range(n)]
     req_cur = [0] * n
@@ -208,23 +215,17 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
     def forward(u: int, du: float) -> None:
         v = -1
         c = 0.0
-        if out_ok[u]:
-            row = out_to[u]
-            if row is None:
-                row, out_w[u] = graph.out_edges(u)
-                out_to[u] = row
-            i = out_cur[u]
-            if i < row.shape[0]:
-                out_cur[u] = i + 1
-                stats.forward_scans += 1
-                c = out_w[u].item(i)
-                if M < INF and c > 2.0 * (M - du):
-                    out_ok[u] = False
-                else:
-                    v = row.item(i)
+        i = out_at[u]
+        if i < out_end[u]:
+            out_at[u] = i + 1
+            stats.forward_scans += 1
+            c = out_w.item(i)
+            if M < INF and c > 2.0 * (M - du):
+                out_end[u] = i + 1
             else:
-                out_ok[u] = False
-        if v < 0:
+                v = out_to.item(i)
+        from_req = v < 0
+        if from_req:
             j = req_cur[u]
             ru = req[u]
             if j < len(ru):
@@ -234,26 +235,20 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
             active[u] = True
             key = du + c
             P.insert((u, v), key)
-            stats.p_inserts += 1
             if record is not None:
                 record.p_trace.append(("i", key))
-                record.p_inserts.append((u, v, c, key, not out_ok[u]))
+                record.p_inserts.append((u, v, c, key, from_req))
         else:
             active[u] = False
 
     def backward(v: int) -> None:
-        row = in_from[v]
-        if row is None:
-            row, in_w[v] = graph.in_edges(v)
-            in_from[v] = row
-        i = in_cur[v]
-        if i < row.shape[0]:
-            in_cur[v] = i + 1
+        i = in_at[v]
+        if i < in_end[v]:
+            in_at[v] = i + 1
             stats.backward_scans += 1
-            u = row.item(i)
-            c = in_w[v].item(i)
+            u = in_from.item(i)
+            c = in_w.item(i)
             Q.insert((u, v), c)
-            stats.q_inserts += 1
             if record is not None:
                 record.q_trace.append(("i", c))
                 record.q_inserts.append((u, v, c))
@@ -272,7 +267,6 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
     settled = 1
     while settled < n and len(P):
         (u, v), key = P.extract_min()
-        stats.p_extracts += 1
         if record is not None:
             record.p_trace.append(("x",))
             record.p_extract_keys.append(key)
@@ -295,7 +289,6 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
         # is inf, which ends the drain
         while Q.min_key() < 2.0 * (P.min_key() - M):
             (u2, v2), c2 = Q.extract_min()
-            stats.q_extracts += 1
             if record is not None:
                 record.q_trace.append(("x",))
                 record.q_extract_keys.append(c2)
@@ -303,6 +296,11 @@ def _search(graph: SortedDigraph, source: int, P: MonotoneQueue,
                 backward(v2)
                 request(u2, v2, c2)
 
+    stats.p_inserts = P.stats.inserts
+    stats.p_extracts = P.stats.extracts
+    if Q is not None:
+        stats.q_inserts = Q.stats.inserts
+        stats.q_extracts = Q.stats.extracts
     return (ShortestPathTree(source, np.array(parent, dtype=np.int64),
                              np.array(dist)), stats)
 

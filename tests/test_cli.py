@@ -129,6 +129,14 @@ def test_invalid_usage_exits_1():
     assert main(["sample", "--n", "10", "--trials", "-3"]) == 1
     assert main(["bench", "scan-scaling", "--n", "10", "--trials", "0"]) == 1
     assert main(["bench", "verify-compare", "--n", "10", "--trials", "-3"]) == 1
+    assert main(["bench", "verify-compare", "--n", "1"]) == 1  # n ln n = 0
+
+
+def test_non_integer_count_names_no_private_helper(capsys):
+    assert main(["sssp", "--n", "10", "--trials", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "must be an integer, got 'abc'" in err
+    assert "_positive_int" not in err
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -168,6 +168,171 @@ def test_spira_matches_frozen_reference(graph):
         assert stats.as_dict() == ref_stats.as_dict()
 
 
+def reference_fb_sssp(graph, source, record=None):
+    """fb_sssp with its search loop as it stood before the loop read the CSR
+    arrays through per-vertex cursors: lazily cached row slices, an
+    out-list flag per vertex, and queue operations counted as they happen.
+    Frozen as the definition of what fb_sssp must return."""
+    n = graph.n
+    if not (0 <= source < n):
+        raise ValueError("source out of range")
+    if n == 1:
+        # the median vertex is the source itself, which has no edges
+        return (ShortestPathTree(source, np.full(1, -1, dtype=np.int64),
+                                 np.zeros(1)),
+                ScanStats(median=0.0, size_at_median=1))
+    nb, w = bucket_defaults(n)
+    P, Q = BucketQueue(nb, w), BucketQueue(nb, w)
+
+    dist = [INF] * n
+    parent = [-1] * n
+    dist[source] = 0.0
+    stats = ScanStats()
+
+    out_to = [None] * n
+    out_w = [None] * n
+    out_cur = [0] * n
+    in_from = [None] * n
+    in_w = [None] * n
+    in_cur = [0] * n
+    out_ok = [True] * n     # Out[u] may still hold out-pertinent edges
+    active = [False] * n    # u currently has an edge in P
+    req = [[] for _ in range(n)]
+    req_cur = [0] * n
+
+    M = INF
+    switch_at = (n + 1) // 2
+
+    def forward(u, du):
+        v = -1
+        c = 0.0
+        if out_ok[u]:
+            row = out_to[u]
+            if row is None:
+                row, out_w[u] = graph.out_edges(u)
+                out_to[u] = row
+            i = out_cur[u]
+            if i < row.shape[0]:
+                out_cur[u] = i + 1
+                stats.forward_scans += 1
+                c = out_w[u].item(i)
+                if M < INF and c > 2.0 * (M - du):
+                    out_ok[u] = False
+                else:
+                    v = row.item(i)
+            else:
+                out_ok[u] = False
+        if v < 0:
+            j = req_cur[u]
+            ru = req[u]
+            if j < len(ru):
+                req_cur[u] = j + 1
+                v, c = ru[j]
+        if v >= 0:
+            active[u] = True
+            key = du + c
+            P.insert((u, v), key)
+            stats.p_inserts += 1
+            if record is not None:
+                record.p_trace.append(("i", key))
+                record.p_inserts.append((u, v, c, key, not out_ok[u]))
+        else:
+            active[u] = False
+
+    def backward(v):
+        row = in_from[v]
+        if row is None:
+            row, in_w[v] = graph.in_edges(v)
+            in_from[v] = row
+        i = in_cur[v]
+        if i < row.shape[0]:
+            in_cur[v] = i + 1
+            stats.backward_scans += 1
+            u = row.item(i)
+            c = in_w[v].item(i)
+            Q.insert((u, v), c)
+            stats.q_inserts += 1
+            if record is not None:
+                record.q_trace.append(("i", c))
+                record.q_inserts.append((u, v, c))
+
+    def request(u, v, c):
+        stats.requests += 1
+        req[u].append((v, c))
+        if record is not None:
+            record.requests.append((u, v, c))
+        du = dist[u]
+        if du < INF and not active[u]:
+            stats.urgent_requests += 1
+            forward(u, du)
+
+    forward(source, 0.0)
+    settled = 1
+    while settled < n and len(P):
+        (u, v), key = P.extract_min()
+        stats.p_extracts += 1
+        if record is not None:
+            record.p_trace.append(("x",))
+            record.p_extract_keys.append(key)
+        forward(u, dist[u])
+        if dist[v] == INF:
+            dist[v] = key
+            parent[v] = u
+            settled += 1
+            forward(v, key)
+            if settled == switch_at:
+                M = key
+                stats.median = M
+                stats.size_at_median = settled
+                for w in range(n):
+                    if dist[w] == INF:
+                        backward(w)
+        if M == INF:
+            continue
+        while Q.min_key() < 2.0 * (P.min_key() - M):
+            (u2, v2), c2 = Q.extract_min()
+            stats.q_extracts += 1
+            if record is not None:
+                record.q_trace.append(("x",))
+                record.q_extract_keys.append(c2)
+            if dist[v2] == INF:
+                backward(v2)
+                request(u2, v2, c2)
+
+    return (ShortestPathTree(source, np.array(parent, dtype=np.int64),
+                             np.array(dist)), stats)
+
+
+_RECORDING_LISTS = ("p_trace", "q_trace", "p_extract_keys", "q_extract_keys",
+                    "p_inserts", "q_inserts", "requests")
+
+
+def _fb_reference_graphs():
+    yield from _spira_reference_graphs()
+    for kind, shape in (("exp", None), ("uniform", None), ("weibull", 150.0)):
+        for directed in (True, False):
+            model = WeightModel(kind, seed=506, shape=shape)
+            yield pytest.param(
+                gen_complete(501, model, directed=directed),
+                id=f"{kind}-n501-{'dir' if directed else 'undir'}")
+
+
+@pytest.mark.parametrize("graph", list(_fb_reference_graphs()))
+def test_fb_matches_frozen_reference(graph):
+    n = graph.n
+    for source in sorted({0, n // 2, n - 1}):
+        ref_rec, rec = FbRecording(), FbRecording()
+        ref_tree, ref_stats = reference_fb_sssp(graph, source, ref_rec)
+        tree, stats = fb_sssp(graph, source, record=rec)
+        np.testing.assert_array_equal(tree.parent, ref_tree.parent)
+        np.testing.assert_array_equal(tree.dist, ref_tree.dist)
+        assert tree.dist.dtype == ref_tree.dist.dtype
+        assert tree.parent.dtype == ref_tree.parent.dtype
+        assert stats.as_dict() == ref_stats.as_dict()
+        for name in _RECORDING_LISTS:
+            assert getattr(rec, name) == getattr(ref_rec, name), name
+
+
 def test_weibull_reference_graph_has_zero_cost_ties():
     # the weibull(150) case above exercises ties only if costs underflow
     g = gen_complete(200, WeightModel("weibull", seed=205, shape=150.0))
