@@ -8,6 +8,9 @@ and ``bench`` (scan-scaling and verifier-comparison experiments).
 Every experiment derives one seed per trial from the master ``--seed`` via
 :func:`seed_derivation`, so reruns with the same arguments produce identical
 counters and CSV bytes; wall-clock fields live only in the JSON summaries.
+Every command makes its graphs through :func:`_graphs`, so trial t's graph
+is the same in every command (``gen`` writes trial 0's), and every config
+echoes the n, model and directedness of the graphs it ran on.
 Relative output paths are placed under ``$FBSP_OUT_DIR`` when it is set.
 Exit codes: 0 success, 1 invalid arguments or inputs, 2 internal invariant
 violation.
@@ -24,14 +27,15 @@ import os
 import struct
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import oracle
 from .apsp import apsp
-from .graph import (EXPONENTIAL, UNIFORM, WEIBULL, GraphError, SortedDigraph,
-                    WeightModel, gen_complete, load, save)
+from .graph import (EXPONENTIAL, GraphError, SortedDigraph, WeightModel,
+                    gen_complete, load, save)
 from .sssp import dijkstra, fb_sssp, spira
 from .verify import (VerifyError, verify_fb, verify_forward_only, verify_full)
 
@@ -78,27 +82,22 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
 def _write_json(path: Optional[str], payload: dict) -> None:
     if path:
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
         _atomic_write(_out_path(path), text.encode("utf-8"))
 
 
-def _write_csv(path: Optional[str], header: List[str], rows: List[list]) -> None:
+def _write_csv(path: Optional[str], header: List[str], rows: List[dict]) -> None:
+    """Write the ``header`` cells of each row dict; bools become 0/1."""
     if not path:
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow([int(row[k]) if isinstance(row[k], bool) else row[k]
+                         for k in header])
     _atomic_write(_out_path(path), buf.getvalue().encode("utf-8"))
 
 
@@ -116,15 +115,39 @@ def _aggregate(rows: List[dict], keys: List[str]) -> dict:
     return agg
 
 
-def _model_from_args(args, seed: int) -> WeightModel:
-    """The weight model the flags describe, seeded with ``seed``."""
-    kind = {"exp": EXPONENTIAL, "uniform": UNIFORM, "weibull": WEIBULL}[args.dist]
-    shape = args.shape
-    if kind != WEIBULL and shape is not None:
-        raise CliError("--shape only applies to --dist weibull")
-    if kind == WEIBULL and shape is None:
-        raise CliError("--dist weibull requires --shape")
-    return WeightModel(kind, seed=seed, shape=shape)
+def _graphs(args):
+    """The one path from flags to graphs: ``(echo, make)``.
+
+    ``echo`` holds the ``n``, ``dist``, ``shape`` and ``directed`` that every
+    config echoes.  ``make(trial[, n])`` returns the graph trial ``trial``
+    runs on: generated from ``WeightModel(seed=seed_derivation(--seed,
+    trial))``, or the ``--graph`` file, loaded once.  A loaded graph echoes
+    the file's own n and directedness with an empty model, and takes no
+    model flags and no other ``--n``.
+    """
+    if getattr(args, "graph", None) is not None:
+        if args.dist is not None or args.shape is not None or args.undirected:
+            raise CliError("--graph takes its model from the file; "
+                           "drop --dist, --shape and --undirected")
+        graph = load(args.graph)
+        if args.n is not None and args.n != graph.n:
+            raise CliError(f"--n {args.n} differs from the {graph.n} "
+                           f"vertices of {args.graph}")
+        echo = {"n": graph.n, "dist": None, "shape": None,
+                "directed": graph.directed}
+        return echo, lambda trial: graph
+    if args.n is None:
+        raise CliError("either --n or --graph is required")
+    model = WeightModel(args.dist or EXPONENTIAL, shape=args.shape)
+    directed = not args.undirected
+
+    def make(trial, n=args.n):
+        seed = seed_derivation(args.seed, trial)
+        return gen_complete(n, replace(model, seed=seed), directed=directed)
+
+    echo = {"n": args.n, "dist": model.kind, "shape": model.shape,
+            "directed": directed}
+    return echo, make
 
 
 def _positive_int(text: str) -> int:
@@ -138,15 +161,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _n_list(text: str) -> List[int]:
+    try:
+        ns = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        ns = []
+    if not ns or any(n < 1 for n in ns):
+        raise argparse.ArgumentTypeError(f"bad n list: {text!r}")
+    return ns
+
+
 def _add_model_flags(p, with_n=True):
     if with_n:
         p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--dist", choices=["exp", "uniform", "weibull"],
-                   default="exp", help="edge cost distribution")
+                   default=None, help="edge cost distribution (default exp)")
     p.add_argument("--shape", type=float, default=None,
                    help="power for weibull costs (cost = Exp(1)**shape)")
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="master seed")
+
+
+def _add_graph_flags(p):
+    p.add_argument("--n", type=int, default=None, help="vertex count "
+                   "(required unless --graph is given)")
+    _add_model_flags(p, with_n=False)
+    p.add_argument("--graph", default=None, help="load this graph file "
+                   "instead of generating one per trial")
+    p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
+    p.add_argument("--source", type=int, default=0)
 
 
 def _run_algo(algo: str, graph: SortedDigraph, source: int):
@@ -168,82 +211,60 @@ _QUEUE = {"fb": "bucket", "spira": "binheap", "dijkstra": "heapq"}
 _SSSP_COUNTERS = ["forward_scans", "backward_scans", "p_inserts", "p_extracts",
                   "q_inserts", "q_extracts", "requests", "urgent_requests"]
 
+_SSSP_STATS = _SSSP_COUNTERS + ["median", "size_at_median"]
+
 _SSSP_CSV = (["trial", "seed", "algo", "n", "model", "shape", "directed",
-              "pq", "source"] + _SSSP_COUNTERS + ["median", "size_at_median"])
+              "pq", "source"] + _SSSP_STATS)
 
 
 def _cmd_gen(args) -> int:
-    model = _model_from_args(args, args.seed)
-    g = gen_complete(args.n, model, directed=not args.undirected)
+    _, make = _graphs(args)
+    g = make(0)
     save(g, _out_path(args.out))
     print(f"wrote {g!r} to {args.out}")
     return 0
 
 
 def _cmd_sssp(args) -> int:
-    if args.graph is None and args.n is None:
-        raise CliError("either --n or --graph is required")
-    model_echo = {"dist": args.dist, "shape": args.shape,
-                  "directed": not args.undirected}
+    echo, make = _graphs(args)
     pq = _QUEUE[args.algo]
     rows = []
-    csv_rows = []
     t_all = time.perf_counter_ns()
-    base_graph = load(args.graph) if args.graph else None
     for t in range(args.trials):
-        seed = seed_derivation(args.seed, t)
-        if base_graph is not None:
-            graph = base_graph
-        else:
-            graph = gen_complete(args.n, _model_from_args(args, seed),
-                                 directed=not args.undirected)
-        tree, stats, ns = _run_algo(args.algo, graph, args.source)
-        row = {"trial": t, "seed": seed, "algo": args.algo, "n": graph.n,
-               **model_echo, "pq": pq, "source": args.source,
-               "wall_time_ns": ns}
-        if stats is not None:
-            row.update(stats.as_dict())
-        else:
-            row.update({k: None for k in _SSSP_COUNTERS})
-            row.update({"median": None, "size_at_median": None})
-        rows.append(row)
-        csv_rows.append([t, seed, args.algo, graph.n, args.dist, args.shape,
-                         int(not args.undirected), pq, args.source]
-                        + [row[k] for k in _SSSP_COUNTERS]
-                        + [row["median"], row["size_at_median"]])
+        tree, stats, ns = _run_algo(args.algo, make(t), args.source)
+        rows.append({"trial": t, "seed": seed_derivation(args.seed, t),
+                     "algo": args.algo, "n": echo["n"], "model": echo["dist"],
+                     "shape": echo["shape"], "directed": echo["directed"],
+                     "pq": pq, "source": args.source, "wall_time_ns": ns,
+                     **(stats.as_dict() if stats else
+                        dict.fromkeys(_SSSP_STATS))})
         print(f"trial {t}: " + (f"scans={stats.total_scans} "
                                 f"p={stats.p_inserts}/{stats.p_extracts} "
                                 f"q={stats.q_inserts}/{stats.q_extracts}"
                                 if stats else
                                 f"dist_max={float(np.max(tree.dist)):.6g}"))
     payload = {
-        "config": {"command": "sssp", "algo": args.algo, "n": args.n,
+        "config": {"command": "sssp", "algo": args.algo, **echo,
                    "trials": args.trials, "master_seed": args.seed,
-                   "pq": pq, "csv_schema": 1, **model_echo},
+                   "pq": pq, "csv_schema": 1},
         "rows": rows,
         "aggregate": _aggregate(rows, _SSSP_COUNTERS),
         "wall_time_ns": time.perf_counter_ns() - t_all,
     }
     _write_json(args.json, payload)
-    _write_csv(args.csv, _SSSP_CSV, csv_rows)
+    _write_csv(args.csv, _SSSP_CSV, rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.graph is None and args.n is None:
-        raise CliError("either --n or --graph is required")
-    seed = seed_derivation(args.seed, 0)
-    if args.graph:
-        graph = load(args.graph)
-    else:
-        graph = gen_complete(args.n, _model_from_args(args, seed),
-                             directed=not args.undirected)
+    echo, make = _graphs(args)
+    graph = make(0)
     tree, _, _ = _run_algo(args.algo, graph, args.source)
     checker = {"full": verify_full, "forward": verify_forward_only,
                "fb": verify_fb}[args.mode]
     report = checker(graph, tree)
     payload = {"config": {"command": "verify", "mode": args.mode,
-                          "algo": args.algo, "n": graph.n,
+                          "algo": args.algo, **echo,
                           "master_seed": args.seed},
                "report": report.as_dict()}
     _write_json(args.json, payload)
@@ -253,28 +274,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apsp(args) -> int:
-    seed = seed_derivation(args.seed, 0)
-    graph = gen_complete(args.n, _model_from_args(args, seed),
-                         directed=not args.undirected)
+    echo, make = _graphs(args)
+    graph = make(0)
     result = apsp(graph)
     if args.dump:
         blob = _MAGIC + struct.pack("<Q", graph.n) + result.dist.tobytes()
         _atomic_write(_out_path(args.dump), blob)
     per_source = [s.as_dict() for s in result.per_source_stats]
+    per_pair = result.total_scans / graph.n ** 2
     payload = {
-        "config": {"command": "apsp", "n": args.n, "master_seed": args.seed,
-                   "dist": args.dist, "shape": args.shape,
-                   "directed": not args.undirected},
+        "config": {"command": "apsp", **echo, "master_seed": args.seed},
         "total_scans": result.total_scans,
-        "scans_per_n2": result.total_scans / (args.n ** 2),
+        "scans_per_n2": per_pair,
         "preprocess_time": result.preprocess_time,
         "total_time": result.total_time,
         "aggregate": _aggregate(per_source, _SSSP_COUNTERS),
     }
     _write_json(args.json, payload)
-    print(f"apsp n={args.n}: total scans {result.total_scans} "
-          f"({result.total_scans / args.n ** 2:.3f} per vertex pair), "
-          f"{result.total_time:.2f}s")
+    print(f"apsp n={graph.n}: total scans {result.total_scans} "
+          f"({per_pair:.3f} per vertex pair), {result.total_time:.2f}s")
     return 0
 
 
@@ -284,7 +302,6 @@ _SAMPLE_CSV = ["trial", "seed", "n", "directed", "out_spt", "in_spt",
 
 def _cmd_sample(args) -> int:
     rows = []
-    csv_rows = []
     directed = not args.undirected
     tail_hits = 0
     for t in range(args.trials):
@@ -296,25 +313,21 @@ def _cmd_sample(args) -> int:
         if args.tail_threshold is not None and \
                 counts.total >= args.tail_threshold * args.n:
             tail_hits += 1
-        row = {"trial": t, "seed": seed, "n": args.n, "directed": directed,
-               **counts.as_dict(), "lambda_in": rates.lambda_in,
-               "lambda_out": rates.lambda_out}
-        rows.append(row)
-        csv_rows.append([row[k] if k != "directed" else int(row[k])
-                         for k in _SAMPLE_CSV])
-    keys = ["out_spt", "in_spt", "out_non_spt", "in_non_spt", "total",
-            "lambda_in", "lambda_out"]
+        rows.append({"trial": t, "seed": seed, "n": args.n,
+                     "directed": directed, **counts.as_dict(),
+                     "lambda_in": rates.lambda_in,
+                     "lambda_out": rates.lambda_out})
     payload = {
         "config": {"command": "sample", "n": args.n, "trials": args.trials,
                    "master_seed": args.seed, "directed": directed,
                    "csv_schema": 1},
-        "aggregate": _aggregate(rows, keys),
+        "aggregate": _aggregate(rows, _SAMPLE_CSV[4:]),
     }
     if args.tail_threshold is not None:
         payload["tail"] = {"threshold_multiple": args.tail_threshold,
                            "fraction": tail_hits / args.trials}
     _write_json(args.json, payload)
-    _write_csv(args.csv, _SAMPLE_CSV, csv_rows)
+    _write_csv(args.csv, _SAMPLE_CSV, rows)
     agg = payload["aggregate"]
     print(f"sampled {args.trials} trees at n={args.n}: "
           f"mean pertinent edges/n = {agg['total']['mean'] / args.n:.4f}")
@@ -324,31 +337,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _parse_n_list(text: str) -> List[int]:
-    try:
-        ns = [int(x) for x in text.split(",") if x]
-    except ValueError as exc:
-        raise CliError(f"bad n list: {text!r}") from exc
-    if not ns or any(n < 1 for n in ns):
-        raise CliError(f"bad n list: {text!r}")
-    return ns
-
-
 def _cmd_bench_scan_scaling(args) -> int:
-    sizes = _parse_n_list(args.n)
-    directed = not args.undirected
+    echo, make = _graphs(args)
     table = []
-    csv_rows = []
-    for n in sizes:
+    rows = []
+    for n in echo["n"]:
         per_n = []
         for t in range(args.trials):
-            seed = seed_derivation(args.seed, t)
-            graph = gen_complete(n, _model_from_args(args, seed),
-                                 directed=directed)
-            _, stats, _ = _run_algo(args.algo, graph, 0)
+            _, stats, _ = _run_algo(args.algo, make(t, n), 0)
             per_n.append(stats.total_scans)
-            csv_rows.append([n, t, seed, stats.forward_scans,
-                             stats.backward_scans, stats.total_scans])
+            rows.append({"n": n, "trial": t,
+                         "seed": seed_derivation(args.seed, t),
+                         **stats.as_dict(), "total_scans": stats.total_scans})
         mean = sum(per_n) / len(per_n)
         table.append({"n": n, "mean_total_scans": mean,
                       "mean_scans_per_n": mean / n})
@@ -357,26 +357,23 @@ def _cmd_bench_scan_scaling(args) -> int:
         print(f"{row['n']:>8} {row['mean_total_scans']:>12.1f} "
               f"{row['mean_scans_per_n']:>10.3f}")
     payload = {"config": {"command": "bench scan-scaling", "algo": args.algo,
-                          "n": sizes, "trials": args.trials,
-                          "master_seed": args.seed, "dist": args.dist,
-                          "directed": directed, "csv_schema": 1},
+                          **echo, "trials": args.trials,
+                          "master_seed": args.seed, "csv_schema": 1},
                "table": table}
     _write_json(args.json, payload)
     _write_csv(args.csv, ["n", "trial", "seed", "forward_scans",
-                          "backward_scans", "total_scans"], csv_rows)
+                          "backward_scans", "total_scans"], rows)
     return 0
 
 
 def _cmd_bench_verify_compare(args) -> int:
-    n = args.n_single
+    echo, make = _graphs(args)
+    n = args.n
     if n < 2:
         raise CliError(f"--n must be at least 2, got {n}")
-    directed = not args.undirected
     rows = []
     for t in range(args.trials):
-        seed = seed_derivation(args.seed, t)
-        model = WeightModel(EXPONENTIAL, seed=seed)
-        graph = gen_complete(n, model, directed=directed)
+        graph = make(t)
         tree = dijkstra(graph, 0)
         t0 = time.perf_counter_ns()
         fwd = verify_forward_only(graph, tree)
@@ -385,7 +382,7 @@ def _cmd_bench_verify_compare(args) -> int:
         t2 = time.perf_counter_ns()
         if not (fwd.accepted and fb.accepted):
             raise AssertionError("true tree rejected")
-        rows.append({"trial": t, "seed": seed,
+        rows.append({"trial": t, "seed": seed_derivation(args.seed, t),
                      "forward_only_examined": fwd.edges_examined,
                      "fb_examined": fb.edges_examined,
                      "forward_only_wall_ns": t1 - t0,
@@ -400,15 +397,13 @@ def _cmd_bench_verify_compare(args) -> int:
     print(f"n={n}: forward-only {mean_fwd:.0f} edges "
           f"({mean_fwd / nlogn:.3f} n ln n), "
           f"fb {mean_fb:.0f} edges ({mean_fb / n:.3f} n)")
-    payload = {"config": {"command": "bench verify-compare", "n": n,
+    payload = {"config": {"command": "bench verify-compare", **echo,
                           "trials": args.trials, "master_seed": args.seed,
                           "csv_schema": 1},
                "rows": rows, "summary": summary}
     _write_json(args.json, payload)
     _write_csv(args.csv, ["trial", "seed", "forward_only_examined",
-                          "fb_examined"],
-               [[r["trial"], r["seed"], r["forward_only_examined"],
-                 r["fb_examined"]] for r in rows])
+                          "fb_examined"], rows)
     return 0
 
 
@@ -422,26 +417,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sssp", help="run shortest-path trials")
-    p.add_argument("--n", type=int, default=None, help="vertex count "
-                   "(required unless --graph is given)")
-    _add_model_flags(p, with_n=False)
-    p.add_argument("--graph", default=None, help="load this graph file "
-                   "instead of generating one per trial")
-    p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    p.add_argument("--source", type=int, default=0)
+    _add_graph_flags(p)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--json", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write per-trial CSV here")
     p.set_defaults(func=_cmd_sssp)
 
     p = sub.add_parser("verify", help="verify the tree an algorithm returns")
-    p.add_argument("--n", type=int, default=None, help="vertex count "
-                   "(required unless --graph is given)")
-    _add_model_flags(p, with_n=False)
-    p.add_argument("--graph", default=None)
+    _add_graph_flags(p)
     p.add_argument("--mode", choices=["full", "forward", "fb"], default="fb")
-    p.add_argument("--algo", choices=["dijkstra", "spira", "fb"], default="fb")
-    p.add_argument("--source", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -467,7 +451,8 @@ def build_parser() -> _Parser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
     b = bench_sub.add_parser("scan-scaling", help="mean scans/n across sizes")
-    b.add_argument("--n", required=True, help="comma-separated sizes")
+    b.add_argument("--n", type=_n_list, required=True,
+                   help="comma-separated sizes")
     _add_model_flags(b, with_n=False)
     b.add_argument("--algo", choices=["spira", "fb"], default="fb")
     b.add_argument("--trials", type=_positive_int, default=5)
@@ -477,13 +462,14 @@ def build_parser() -> _Parser:
 
     b = bench_sub.add_parser("verify-compare",
                              help="forward-only vs forward-backward verifier")
-    b.add_argument("--n", dest="n_single", type=int, required=True)
+    b.add_argument("--n", type=int, required=True)
     b.add_argument("--undirected", action="store_true")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--trials", type=_positive_int, default=5)
     b.add_argument("--json", default=None)
     b.add_argument("--csv", default=None)
-    b.set_defaults(func=_cmd_bench_verify_compare)
+    # no model flags: _graphs makes exponential-cost graphs
+    b.set_defaults(func=_cmd_bench_verify_compare, dist=None, shape=None)
 
     return parser
 

@@ -19,7 +19,7 @@ conditionally on a drawn tree (:func:`sample_pertinence_counts`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,9 +64,7 @@ class PertinenceCounts:
         return self.out_spt + self.in_spt + self.out_non_spt + self.in_non_spt
 
     def as_dict(self) -> dict:
-        return {"out_spt": self.out_spt, "in_spt": self.in_spt,
-                "out_non_spt": self.out_non_spt, "in_non_spt": self.in_non_spt,
-                "total": self.total}
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass

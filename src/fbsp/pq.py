@@ -24,7 +24,7 @@ under ``python -O`` too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, List, Optional, Tuple, Union
 
 
@@ -41,14 +41,7 @@ class QueueStats:
     late_inserts: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "inserts": self.inserts,
-            "extracts": self.extracts,
-            "max_subbucket_size": self.max_subbucket_size,
-            "splits": self.splits,
-            "heap_comparisons": self.heap_comparisons,
-            "late_inserts": self.late_inserts,
-        }
+        return asdict(self)
 
 
 class _Heap:
@@ -238,18 +231,9 @@ class BucketQueue:
         self._active = i
         self._sub_idx = 0
         self.stats.splits += 1
-        if i == self.B - 1:
-            # unbounded key range: one heap, no sub-bucketing
-            self._nsubs = 1
-            heap = _Heap(self._cmps)
-            for key, item in items:
-                heap.push(key, item)
-            self._subs = [heap]
-            if b > self.stats.max_subbucket_size:
-                self.stats.max_subbucket_size = b
-            return
-        self._nsubs = b
-        subs = self._subs = [self._empty] * b
+        # the last bucket's key range is unbounded: one heap, no sub-bucketing
+        self._nsubs = 1 if i == self.B - 1 else b
+        subs = self._subs = [self._empty] * self._nsubs
         used = []
         for key, item in items:
             j = self._sub_index(key)

@@ -22,7 +22,7 @@ instrumentation counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple, Union
 
@@ -62,18 +62,10 @@ class ScanStats:
         return self.forward_scans + self.backward_scans
 
     def as_dict(self) -> dict:
-        return {
-            "forward_scans": self.forward_scans,
-            "backward_scans": self.backward_scans,
-            "p_inserts": self.p_inserts,
-            "p_extracts": self.p_extracts,
-            "q_inserts": self.q_inserts,
-            "q_extracts": self.q_extracts,
-            "requests": self.requests,
-            "urgent_requests": self.urgent_requests,
-            "median": self.median if math.isfinite(self.median) else None,
-            "size_at_median": self.size_at_median,
-        }
+        d = asdict(self)
+        if not math.isfinite(self.median):
+            d["median"] = None
+        return d
 
 
 def dijkstra(graph: SortedDigraph, source: int) -> ShortestPathTree:

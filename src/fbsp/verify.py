@@ -29,7 +29,7 @@ self-report as violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,14 +58,12 @@ class VerifyReport:
     wrong_dist: Optional[int] = None  # first vertex whose tree.dist is off
 
     def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "edges_examined": self.edges_examined,
-            "witness": list(self.witness) if self.witness else None,
-            "max_distance": self.max_distance if math.isfinite(self.max_distance) else None,
-            "median": self.median if math.isfinite(self.median) else None,
-            "wrong_dist": self.wrong_dist,
-        }
+        d = asdict(self)
+        d["witness"] = list(self.witness) if self.witness else None
+        for key in ("max_distance", "median"):
+            if not math.isfinite(d[key]):
+                d[key] = None
+        return d
 
 
 def _first_true(start: np.ndarray, stop: np.ndarray, pred) -> np.ndarray:

@@ -218,3 +218,130 @@ def test_sssp_csv_matches_golden_bytes(tmp_path):
         assert main(["sssp", "--n", "30", "--seed", "7", "--trials", "2",
                      "--algo", algo, "--csv", str(c)]) == 0
         assert c.read_bytes() == golden.encode("ascii"), algo
+
+
+# CSV bytes each command wrote before its flags went through one helper
+GOLDEN_OTHER_CSV = {
+    "sample": (["sample", "--n", "40", "--trials", "3", "--seed", "5"],
+               "trial,seed,n,directed,out_spt,in_spt,out_non_spt,in_non_spt,"
+               "total,lambda_in,lambda_out\n"
+               "0,7134611160154358618,40,1,25,14,18,31,88,51.29908050478619,"
+               "39.711811146512986\n"
+               "1,13877614986023876344,40,1,29,10,30,26,95,51.43786389582251,"
+               "62.93833218743942\n"
+               "2,4292726422858613063,40,1,27,12,24,47,110,74.43841447877408,"
+               "50.77126988095504\n"),
+    "scan-scaling fb": (
+        ["bench", "scan-scaling", "--algo", "fb", "--n", "20,30",
+         "--trials", "2", "--seed", "3"],
+        "n,trial,seed,forward_scans,backward_scans,total_scans\n"
+        "20,0,2092789425003139053,47,30,77\n"
+        "20,1,12918135221727111561,43,28,71\n"
+        "30,0,2092789425003139053,74,33,107\n"
+        "30,1,12918135221727111561,89,42,131\n"),
+    "scan-scaling spira": (
+        ["bench", "scan-scaling", "--algo", "spira", "--n", "20,30",
+         "--trials", "2", "--seed", "3"],
+        "n,trial,seed,forward_scans,backward_scans,total_scans\n"
+        "20,0,2092789425003139053,87,0,87\n"
+        "20,1,12918135221727111561,83,0,83\n"
+        "30,0,2092789425003139053,188,0,188\n"
+        "30,1,12918135221727111561,201,0,201\n"),
+    "verify-compare": (
+        ["bench", "verify-compare", "--n", "30", "--trials", "2",
+         "--seed", "5"],
+        "trial,seed,forward_only_examined,fb_examined\n"
+        "0,7134611160154358618,131,90\n"
+        "1,13877614986023876344,163,90\n"),
+    "sssp weibull undirected": (
+        ["sssp", "--n", "20", "--dist", "weibull", "--shape", "2",
+         "--undirected", "--seed", "4", "--trials", "2"],
+        GOLDEN_HEADER
+        + "0,7958955049054603978,fb,20,weibull,2.0,0,bucket,0,46,28,44,44,"
+          "28,28,18,3,0.01000769759378993,10\n"
+        + "1,16462000697783136304,fb,20,weibull,2.0,0,bucket,0,45,25,41,40,"
+          "25,23,15,4,0.011192144968503034,10\n"),
+}
+
+
+def test_other_csvs_match_golden_bytes(tmp_path):
+    for name, (argv, golden) in GOLDEN_OTHER_CSV.items():
+        c = tmp_path / "out.csv"
+        assert main(argv + ["--csv", str(c)]) == 0, name
+        assert c.read_bytes() == golden.encode("ascii"), name
+
+
+def _undirected_file(tmp_path):
+    gfile = tmp_path / "u.txt"
+    assert main(["gen", "--n", "12", "--dist", "uniform", "--undirected",
+                 "--out", str(gfile)]) == 0
+    return gfile
+
+
+def test_graph_run_echoes_the_file(tmp_path):
+    gfile = _undirected_file(tmp_path)
+    c, j = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["sssp", "--graph", str(gfile), "--trials", "2",
+                 "--csv", str(c), "--json", str(j)]) == 0
+    rows = list(csv.DictReader(io.StringIO(c.read_text())))
+    for row in rows:
+        assert (row["n"], row["model"], row["shape"], row["directed"]) == \
+            ("12", "", "", "0")
+    config = json.loads(j.read_text())["config"]
+    assert (config["n"], config["dist"], config["shape"],
+            config["directed"]) == (12, None, None, False)
+    assert main(["verify", "--graph", str(gfile), "--json", str(j)]) == 0
+    config = json.loads(j.read_text())["config"]
+    assert (config["n"], config["dist"], config["directed"]) == \
+        (12, None, False)
+
+
+def test_graph_with_model_flags_or_other_n_exits_1(tmp_path, capsys):
+    gfile = _undirected_file(tmp_path)
+    for cmd in ("sssp", "verify"):
+        for flags in (["--dist", "exp"], ["--dist", "weibull", "--shape", "3"],
+                      ["--shape", "2"], ["--undirected"], ["--n", "999"]):
+            capsys.readouterr()
+            assert main([cmd, "--graph", str(gfile)] + flags) == 1, \
+                (cmd, flags)
+            assert "error:" in capsys.readouterr().err
+        assert main([cmd, "--graph", str(gfile), "--n", "12"]) == 0
+
+
+def test_every_config_echoes_n_model_and_direction(tmp_path):
+    runs = {
+        "sssp": ["sssp", "--n", "20"],
+        "verify": ["verify", "--n", "20"],
+        "apsp": ["apsp", "--n", "20"],
+        "scan-scaling": ["bench", "scan-scaling", "--n", "20",
+                         "--trials", "1"],
+    }
+    for name, argv in runs.items():
+        j = tmp_path / f"{name}.json"
+        assert main(argv + ["--dist", "weibull", "--shape", "2",
+                            "--undirected", "--json", str(j)]) == 0, name
+        config = json.loads(j.read_text())["config"]
+        assert (config["dist"], config["shape"], config["directed"]) == \
+            ("weibull", 2.0, False), name
+        assert config["n"] in (20, [20]), name
+    j = tmp_path / "vc.json"
+    assert main(["bench", "verify-compare", "--n", "20", "--trials", "1",
+                 "--undirected", "--json", str(j)]) == 0
+    config = json.loads(j.read_text())["config"]
+    assert (config["n"], config["dist"], config["directed"]) == \
+        (20, "exp", False)
+
+
+def test_gen_writes_trial_0_of_sssp(tmp_path):
+    for extra in ([], ["--dist", "weibull", "--shape", "0.5", "--undirected"]):
+        gfile = tmp_path / "g.txt"
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", "--n", "25", "--seed", "13", "--out", str(gfile)]
+                    + extra) == 0
+        assert main(["sssp", "--graph", str(gfile), "--json", str(a)]) == 0
+        assert main(["sssp", "--n", "25", "--seed", "13", "--trials", "1",
+                     "--json", str(b)] + extra) == 0
+        ra, rb = (json.loads(p.read_text())["rows"][0] for p in (a, b))
+        # a --graph row echoes no model, and no seed made its graph
+        for key in set(rb) - {"wall_time_ns", "seed", "model", "shape"}:
+            assert ra[key] == rb[key], (extra, key)
