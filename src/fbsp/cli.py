@@ -10,7 +10,8 @@ Every experiment derives one seed per trial from the master ``--seed`` via
 counters and CSV bytes; wall-clock fields live only in the JSON summaries.
 Every command makes its graphs through :func:`_graphs`, so trial t's graph
 is the same in every command (``gen`` writes trial 0's), and every config
-echoes the n, model and directedness of the graphs it ran on.
+echoes the n, model and directedness of the graphs it ran on; a ``--graph``
+run leaves its seed cells empty, since no seed made its graph.
 Relative output paths are placed under ``$FBSP_OUT_DIR`` when it is set.
 Exit codes: 0 success, 1 invalid arguments or inputs, 2 internal invariant
 violation.
@@ -150,6 +151,14 @@ def _graphs(args):
     return echo, make
 
 
+def _trial_seed(args, trial: int) -> Optional[int]:
+    """The seed that made trial ``trial``'s graph; None for a ``--graph``
+    file, which no seed made."""
+    if getattr(args, "graph", None) is not None:
+        return None
+    return seed_derivation(args.seed, trial)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -232,7 +241,7 @@ def _cmd_sssp(args) -> int:
     t_all = time.perf_counter_ns()
     for t in range(args.trials):
         tree, stats, ns = _run_algo(args.algo, make(t), args.source)
-        rows.append({"trial": t, "seed": seed_derivation(args.seed, t),
+        rows.append({"trial": t, "seed": _trial_seed(args, t),
                      "algo": args.algo, "n": echo["n"], "model": echo["dist"],
                      "shape": echo["shape"], "directed": echo["directed"],
                      "pq": pq, "source": args.source, "wall_time_ns": ns,
@@ -301,6 +310,9 @@ _SAMPLE_CSV = ["trial", "seed", "n", "directed", "out_spt", "in_spt",
 
 
 def _cmd_sample(args) -> int:
+    if args.dist not in (None, EXPONENTIAL) or args.shape is not None:
+        raise CliError("sample draws trees of exponential costs only; "
+                       "drop --dist and --shape")
     rows = []
     directed = not args.undirected
     tail_hits = 0
@@ -346,8 +358,7 @@ def _cmd_bench_scan_scaling(args) -> int:
         for t in range(args.trials):
             _, stats, _ = _run_algo(args.algo, make(t, n), 0)
             per_n.append(stats.total_scans)
-            rows.append({"n": n, "trial": t,
-                         "seed": seed_derivation(args.seed, t),
+            rows.append({"n": n, "trial": t, "seed": _trial_seed(args, t),
                          **stats.as_dict(), "total_scans": stats.total_scans})
         mean = sum(per_n) / len(per_n)
         table.append({"n": n, "mean_total_scans": mean,
@@ -382,7 +393,7 @@ def _cmd_bench_verify_compare(args) -> int:
         t2 = time.perf_counter_ns()
         if not (fwd.accepted and fb.accepted):
             raise AssertionError("true tree rejected")
-        rows.append({"trial": t, "seed": seed_derivation(args.seed, t),
+        rows.append({"trial": t, "seed": _trial_seed(args, t),
                      "forward_only_examined": fwd.edges_examined,
                      "fb_examined": fb.edges_examined,
                      "forward_only_wall_ns": t1 - t0,

@@ -56,31 +56,23 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z):
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = np.bitwise_xor(z, z >> np.uint64(30)) * _MIX1
-        z = np.bitwise_xor(z, z >> np.uint64(27)) * _MIX2
-        return np.bitwise_xor(z, z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> None:
+    """SplitMix64 finalizer of the uint64 array ``z``, in place (uint64
+    arrays wrap around without a word)."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
 
 
-def _edge_uniform(base: np.uint64, idx) -> np.ndarray:
-    """Uniform [0,1) variates for edge counters ``idx``, substream ``base``."""
-    with np.errstate(over="ignore"):
-        h = _mix64(base + (np.asarray(idx, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
-    return np.ldexp((h >> np.uint64(11)).astype(np.float64), -53)
-
-
-def _stream_base(seed: int) -> np.uint64:
-    # 0-d array: numpy scalars warn on uint64 wraparound, arrays do not
-    return _mix64(np.asarray(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
-
-
-def _costs_from_uniform(u: np.ndarray, model: WeightModel) -> np.ndarray:
-    if model.kind == EXPONENTIAL:
-        return -np.log1p(-u)
-    if model.kind == UNIFORM:
-        return u
-    return (-np.log1p(-u)) ** model.shape  # WEIBULL
+def _stream_offset(seed: int) -> np.uint64:
+    """Counter ``idx`` of the stream of ``seed`` hashes as
+    mix64(idx * GOLDEN + offset), offset = mix64(seed) + GOLDEN."""
+    z = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    _mix64(z)
+    z += _GOLDEN
+    return z[0]
 
 
 class SortedDigraph:
@@ -161,49 +153,90 @@ class SortedDigraph:
         return f"SortedDigraph(n={self.n}, edges={self.num_edges}, {kind})"
 
 
-# Generation works on blocks of about this many cost cells: small enough for
-# the hashing temporaries and the sort to stay in cache.
+_NOT_FINITE = "an edge cost overflows float64; use a smaller shape"
+
+# Generation hashes and sorts blocks of about this many cost cells: small
+# enough for the block's temporaries to stay in cache.
 _BLOCK_CELLS = 2 ** 14
+# A directed graph's in-lists are cut from strips of this many out-list
+# columns, transposed.
+_STRIP = 64
 
 
 def _row_blocks(n: int):
     """Consecutive row ranges (r0, r1) covering [0, n), about _BLOCK_CELLS
-    off-diagonal cells each."""
+    cells each."""
     h = max(1, _BLOCK_CELLS // n)
     for r0 in range(0, n, h):
         yield r0, min(r0 + h, n)
 
 
-def _skip_diagonal(j, u):
-    """Vertex in column j of row u of a (rows, n-1) block without diagonal."""
-    return j + (j >= u)
-
-
 def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
-                 base: np.uint64, incoming: bool = False) -> np.ndarray:
-    """Costs of the off-diagonal cells of rows r0..r1-1 as an (r1-r0, n-1)
-    array: column j of row u is the edge from u to v = _skip_diagonal(j, u),
-    or from v to u when ``incoming``."""
-    u = np.arange(r0, r1, dtype=np.uint64)[:, None]
-    v = _skip_diagonal(np.arange(n - 1, dtype=np.uint64), u)
-    if incoming:
-        u, v = v, u
-    if not directed:
-        u, v = np.minimum(u, v), np.maximum(u, v)
-    return _costs_from_uniform(_edge_uniform(base, u * np.uint64(n) + v), model)
+                 offset: np.uint64, out: np.ndarray) -> None:
+    """Costs of rows r0..r1-1 of the n*n cost matrix into the flat ``out``,
+    diagonal included: the edge (u, v) has counter u*n + v, or min*n + max
+    when undirected."""
+    if directed:
+        z = np.arange(r0 * n, r1 * n, dtype=np.uint64)
+    else:
+        u = np.arange(r0, r1, dtype=np.uint64)[:, None]
+        v = np.arange(n, dtype=np.uint64)
+        z = (np.minimum(u, v) * np.uint64(n) + np.maximum(u, v)).ravel()
+    z *= _GOLDEN
+    z += offset
+    _mix64(z)
+    z >>= 11
+    out[:] = z
+    out *= 2.0 ** -53  # the top 53 bits as a uniform on [0, 1)
+    if model.kind == UNIFORM:
+        return
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)  # Exp(1), never -0.0
+    if model.kind == WEIBULL:
+        with np.errstate(over="ignore"):  # an infinite cost is rejected later
+            out **= model.shape
 
 
-def _sort_block(w: np.ndarray, r0: int, ends: np.ndarray, costs: np.ndarray) -> None:
-    """Sort each row of the cost block ``w`` (rows r0.., diagonal skipped)
-    into the views ``ends`` (vertices) and ``costs``, ties in vertex order."""
-    h, deg = w.shape
-    order = np.argsort(w, axis=1)
-    costs[:] = np.take(w, order + np.arange(h)[:, None] * deg)
-    # the default sort is unstable: re-sort rows with ties, stably
-    for i in np.flatnonzero((costs[:, 1:] == costs[:, :-1]).any(axis=1)):
-        order[i] = np.argsort(w[i], kind="stable")
-        costs[i] = w[i, order[i]]
-    ends[:] = _skip_diagonal(order, np.arange(r0, r0 + h)[:, None])
+def _off_diagonal(full: np.ndarray, r0: int, n: int, rows: np.ndarray):
+    """Pairs of views that hold the same cells, in order: of ``full``, the
+    flat rows r0.. of an n*n matrix (the diagonal at r0 + i*(n+1)), and of
+    ``rows``, the same rows flat without their diagonal."""
+    h = full.size // n
+    mid = (h - 1) * n
+    return ((full[:r0], rows[:r0]),
+            (full[r0 + 1:r0 + 1 + mid + h - 1].reshape(h - 1, n + 1)[:, :n],
+             rows[r0:r0 + mid].reshape(h - 1, n)),
+            (full[r0 + mid + h:], rows[r0 + mid:]))
+
+
+def _sort_rows(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
+               costs: np.ndarray) -> None:
+    """Sort each full cost row of ``w``, +inf on the diagonal, by (cost,
+    vertex) into the views ``ends`` and ``costs``, which leave the diagonal
+    out.  ``keys`` is uint64 scratch of w's shape.
+
+    Non-negative doubles (never -0.0 here) order like their bit patterns, so
+    each cell's key is its cost's bits with the low bits replaced by its
+    vertex; one sort of the keys orders a row by (truncated cost, vertex).
+    A row whose costs then are not strictly increasing holds a tie, or two
+    costs that differ only in the dropped bits, and is re-sorted stably.
+    """
+    h, n = w.shape
+    vertex_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    np.bitwise_and(w.view(np.uint64), ~vertex_mask, out=keys)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    keys &= vertex_mask
+    ends[:] = keys[:, :-1]  # the diagonal sorts last
+    keys += np.arange(0, h * n, n, dtype=np.uint64)[:, None]
+    np.take(w.ravel(), keys.view(np.int64)[:, :-1], out=costs, mode="clip")
+    if not np.isfinite(costs[:, -1:]).all():  # the largest cost of each row
+        raise GraphError(_NOT_FINITE)
+    for i in np.flatnonzero((costs[:, 1:] <= costs[:, :-1]).any(axis=1)):
+        order = np.argsort(w[i], kind="stable")[:-1]
+        ends[i] = order
+        costs[i] = w[i, order]
 
 
 def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDigraph:
@@ -212,21 +245,57 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     All n(n-1) directed costs are i.i.d. draws from ``model`` (for an
     undirected graph, the n(n-1)/2 pair costs are mirrored).  The result is a
     pure function of (n, model.kind, model.shape, model.seed, directed).
+    Raises :class:`GraphError` if a cost is not finite.
     """
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     n = int(n)
-    base = _stream_base(model.seed)
+    offset = _stream_offset(model.seed)
 
     deg = n - 1
     out_to, in_from = np.empty((2, n, deg), dtype=np.int32)
     out_w, in_w = np.empty((2, n, deg), dtype=np.float64)
+    h = max(1, _BLOCK_CELLS // n)
+    full = np.empty(max(h, _STRIP) * n)
+    keys = np.empty(h * n, dtype=np.uint64)
+    if directed and n > 1:
+        # every cost hashed once, unsorted, into out_w
+        for r0, r1 in _row_blocks(n):
+            block = full[:(r1 - r0) * n]
+            _block_costs(n, r0, r1, model, directed, offset, block)
+            rows = out_w[r0:r1].reshape(-1)
+            for src, dst in _off_diagonal(block, r0, n, rows):
+                dst[:] = src
+        # in-row v, cell u: the edge u -> v, which is cell v - (v > u) of
+        # out-row u; in the square where a strip meets its own out-rows,
+        # u = c0 + j and v = c0 + i, and the diagonal takes any valid cell
+        i = np.arange(_STRIP)
+        square_cell = i[:, None] - (i[:, None] >= i)
+        for c0 in range(0, n, _STRIP):
+            c1 = min(c0 + _STRIP, n)
+            s = c1 - c0
+            strip = full[:s * n].reshape(s, n)
+            if c0:
+                strip[:, :c0] = out_w[:c0, c0 - 1:c1 - 1].T
+            if c1 < n:
+                strip[:, c1:] = out_w[c1:, c0:c1].T
+            strip[:, c0:c1] = out_w[c0 + i[:s], c0 + square_cell[:s, :s]]
+            strip[i[:s], c0 + i[:s]] = np.inf  # the diagonal sorts last
+            for q0 in range(0, s, h):  # sort in blocks that stay in cache
+                q1 = min(q0 + h, s)
+                _sort_rows(strip[q0:q1], keys[:(q1 - q0) * n].reshape(-1, n),
+                           in_from[c0 + q0:c0 + q1], in_w[c0 + q0:c0 + q1])
     for r0, r1 in _row_blocks(n):
-        w = _block_costs(n, r0, r1, model, directed, base)
-        _sort_block(w, r0, out_to[r0:r1], out_w[r0:r1])
+        block = full[:(r1 - r0) * n]
         if directed:
-            w = _block_costs(n, r0, r1, model, directed, base, incoming=True)
-            _sort_block(w, r0, in_from[r0:r1], in_w[r0:r1])
+            rows = out_w[r0:r1].reshape(-1)
+            for dst, src in _off_diagonal(block, r0, n, rows):
+                dst[:] = src
+        else:
+            _block_costs(n, r0, r1, model, directed, offset, block)
+        block[r0::n + 1] = np.inf  # the diagonal sorts last
+        _sort_rows(block.reshape(-1, n), keys[:block.size].reshape(-1, n),
+                   out_to[r0:r1], out_w[r0:r1])
     if not directed:  # symmetric costs: the in-lists equal the out-lists
         in_from[:] = out_to
         in_w[:] = out_w
@@ -237,15 +306,18 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
 
 
 def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> np.ndarray:
-    """Dense cost matrix of the same graph :func:`gen_complete` would build."""
+    """Dense cost matrix of the same graph :func:`gen_complete` would build.
+
+    Raises :class:`GraphError` if a cost is not finite."""
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    base = _stream_base(model.seed)
-    m = np.zeros((n, n))
-    col = np.arange(n - 1)
+    offset = _stream_offset(model.seed)
+    m = np.empty((n, n))
     for r0, r1 in _row_blocks(n):
-        u = np.arange(r0, r1)[:, None]
-        m[u, _skip_diagonal(col, u)] = _block_costs(n, r0, r1, model, directed, base)
+        _block_costs(n, r0, r1, model, directed, offset, m[r0:r1].reshape(-1))
+    np.fill_diagonal(m, 0.0)
+    if not np.isfinite(m).all():
+        raise GraphError(_NOT_FINITE)
     return m
 
 

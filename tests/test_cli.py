@@ -345,3 +345,29 @@ def test_gen_writes_trial_0_of_sssp(tmp_path):
         # a --graph row echoes no model, and no seed made its graph
         for key in set(rb) - {"wall_time_ns", "seed", "model", "shape"}:
             assert ra[key] == rb[key], (extra, key)
+
+
+def test_sample_rejects_model_flags(capsys):
+    for flags in (["--dist", "weibull", "--shape", "3"], ["--dist", "uniform"],
+                  ["--shape", "2"]):
+        capsys.readouterr()
+        assert main(["sample", "--n", "10"] + flags) == 1, flags
+        assert "error:" in capsys.readouterr().err
+    assert main(["sample", "--n", "10", "--dist", "exp"]) == 0
+
+
+def test_graph_run_writes_empty_seed_cells(tmp_path):
+    gfile = _undirected_file(tmp_path)
+    c, j = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(["sssp", "--graph", str(gfile), "--trials", "3",
+                 "--csv", str(c), "--json", str(j)]) == 0
+    rows = list(csv.DictReader(io.StringIO(c.read_text())))
+    assert [row["seed"] for row in rows] == ["", "", ""]
+    assert [row["seed"] for row in json.loads(j.read_text())["rows"]] == \
+        [None, None, None]
+
+
+def test_infinite_costs_exit_1(capsys):
+    assert main(["sssp", "--n", "50", "--dist", "weibull",
+                 "--shape", "400"]) == 1
+    assert "overflows" in capsys.readouterr().err
