@@ -3,8 +3,8 @@ forward-backward single-source algorithm from every vertex.
 
 Accepts either a ready :class:`~fbsp.graph.SortedDigraph` or a dense cost
 matrix; in the latter case the sorted adjacency is built first, from the
-off-diagonal entries, with the same sort as
-:func:`~fbsp.graph.build_sorted_adjacency`.
+off-diagonal entries, by :func:`~fbsp.graph.from_cost_matrix`, the row sort
+that :func:`~fbsp.graph.gen_complete` uses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List, Union
 
 import numpy as np
 
-from .graph import GraphError, SortedDigraph, sorted_adjacency_from_arrays
+from .graph import SortedDigraph, from_cost_matrix
 from .sssp import ScanStats, fb_sssp
 
 
@@ -31,23 +31,13 @@ class ApspResult:
         return sum(s.total_scans for s in self.per_source_stats)
 
 
-def _graph_from_matrix(costs: np.ndarray) -> SortedDigraph:
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
-        raise GraphError("cost matrix must be square")
-    n = costs.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    u, v = np.nonzero(off)
-    return sorted_adjacency_from_arrays(u, v, costs[off], n)
-
-
 def apsp(graph_or_costs: Union[SortedDigraph, np.ndarray]) -> ApspResult:
     """Shortest-path distances between all pairs, one fb_sssp run per source."""
     t0 = time.perf_counter()
     if isinstance(graph_or_costs, SortedDigraph):
         graph = graph_or_costs
     else:
-        graph = _graph_from_matrix(graph_or_costs)
+        graph = from_cost_matrix(graph_or_costs)
     t1 = time.perf_counter()
 
     n = graph.n

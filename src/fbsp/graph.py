@@ -1,10 +1,11 @@
 """Weighted complete digraphs with cost-sorted adjacency in both directions.
 
 A :class:`SortedDigraph` stores, for every vertex, the outgoing and the
-incoming edges sorted in non-decreasing order of cost.  Graphs are either
-generated from a random weight model (:func:`gen_complete`) or built from an
-explicit edge list (:func:`build_sorted_adjacency`), and can be saved to and
-loaded from a plain text format.
+incoming edges sorted in non-decreasing order of cost.  Complete graphs come
+from a random weight model (:func:`gen_complete`) or from a dense cost matrix
+(:func:`from_cost_matrix`); both go through one row-sort builder.  Any other
+graph is built from an explicit edge list (:func:`build_sorted_adjacency`),
+and can be saved to and loaded from a plain text format.
 
 Random edge costs are derived from a counter-based PRNG: the cost of edge
 (u, v) is a pure function of (seed, u, v), so generation is reproducible and
@@ -111,31 +112,18 @@ class SortedDigraph:
         lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
         return self.in_from[lo:hi], self.in_w[lo:hi]
 
-    def out_degree(self, u: int) -> int:
-        return int(self.out_ptr[u + 1] - self.out_ptr[u])
-
-    def in_degree(self, v: int) -> int:
-        return int(self.in_ptr[v + 1] - self.in_ptr[v])
-
     def cost_matrix(self) -> np.ndarray:
-        """Dense n*n cost matrix; +inf marks absent edges, 0 on the diagonal.
+        """Dense n*n cost matrix: the cheapest copy of each edge, +inf where
+        there is none, 0 on the diagonal.
 
         Intended for small graphs (tests, exhaustive classification); the
         matrix is rebuilt on every call.
         """
         m = np.full((self.n, self.n), np.inf)
         np.fill_diagonal(m, 0.0)
-        for u in range(self.n):
-            to, w = self.out_edges(u)
-            m[u, to] = w
+        src = np.repeat(np.arange(self.n), np.diff(self.out_ptr))
+        np.minimum.at(m, (src, self.out_to), self.out_w)  # applies every repeat
         return m
-
-    def edge_list(self) -> np.ndarray:
-        """Structured copy of all edges as (u, v, cost) arrays in one record."""
-        n = self.n
-        src = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.out_ptr))
-        return np.rec.fromarrays([src, self.out_to, self.out_w],
-                                 names=["u", "v", "cost"])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SortedDigraph):
@@ -216,7 +204,7 @@ def _sort_rows(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
     vertex) into the views ``ends`` and ``costs``, which leave the diagonal
     out.  ``keys`` is uint64 scratch of w's shape.
 
-    Non-negative doubles (never -0.0 here) order like their bit patterns, so
+    Non-negative doubles other than -0.0 order like their bit patterns, so
     each cell's key is its cost's bits with the low bits replaced by its
     vertex; one sort of the keys orders a row by (truncated cost, vertex).
     A row whose costs then are not strictly increasing holds a tie, or two
@@ -247,11 +235,45 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     pure function of (n, model.kind, model.shape, model.seed, directed).
     Raises :class:`GraphError` if a cost is not finite.
     """
-    if n < 1:
-        raise GraphError("graph must have at least one vertex")
     n = int(n)
     offset = _stream_offset(model.seed)
+    return _dense_graph(n, directed, lambda r0, r1, out: _block_costs(
+        n, r0, r1, model, directed, offset, out))
 
+
+def from_cost_matrix(costs) -> SortedDigraph:
+    """The directed complete graph whose edge u -> v costs ``costs[u, v]``;
+    the diagonal is ignored.
+
+    Raises :class:`GraphError` unless ``costs`` is square and finite and
+    non-negative off the diagonal.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
+        raise GraphError("cost matrix must be square")
+    n = costs.shape[0]
+    ok = np.isfinite(costs) & (costs >= 0)
+    np.fill_diagonal(ok, True)
+    if not ok.all():
+        raise GraphError("edge costs must be finite and non-negative")
+
+    def fill(r0, r1, out):
+        # adding 0.0 turns -0.0, which _sort_rows' keys order last, into 0.0
+        np.add(costs[r0:r1], 0.0, out=out.reshape(r1 - r0, n))
+
+    return _dense_graph(n, True, fill)
+
+
+def _dense_graph(n: int, directed: bool, fill) -> SortedDigraph:
+    """The complete graph on ``n`` vertices whose cost matrix ``fill``
+    writes: ``fill(r0, r1, out)`` writes rows r0..r1-1, diagonal included
+    (and ignored), into the flat array ``out``, and is asked for each row
+    once.  Off the diagonal the costs must be non-negative and never -0.0,
+    and symmetric if the graph is undirected.  Raises :class:`GraphError` if
+    a cost is not finite.
+    """
+    if n < 1:
+        raise GraphError("graph must have at least one vertex")
     deg = n - 1
     out_to, in_from = np.empty((2, n, deg), dtype=np.int32)
     out_w, in_w = np.empty((2, n, deg), dtype=np.float64)
@@ -259,10 +281,10 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     full = np.empty(max(h, _STRIP) * n)
     keys = np.empty(h * n, dtype=np.uint64)
     if directed and n > 1:
-        # every cost hashed once, unsorted, into out_w
+        # every cost filled once, unsorted, into out_w
         for r0, r1 in _row_blocks(n):
             block = full[:(r1 - r0) * n]
-            _block_costs(n, r0, r1, model, directed, offset, block)
+            fill(r0, r1, block)
             rows = out_w[r0:r1].reshape(-1)
             for src, dst in _off_diagonal(block, r0, n, rows):
                 dst[:] = src
@@ -292,7 +314,7 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
             for dst, src in _off_diagonal(block, r0, n, rows):
                 dst[:] = src
         else:
-            _block_costs(n, r0, r1, model, directed, offset, block)
+            fill(r0, r1, block)
         block[r0::n + 1] = np.inf  # the diagonal sorts last
         _sort_rows(block.reshape(-1, n), keys[:block.size].reshape(-1, n),
                    out_to[r0:r1], out_w[r0:r1])
@@ -329,22 +351,14 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
     Each list is sorted by cost, ties by the other endpoint; repeated pairs
     are kept as separate edges.
     """
+    if n < 1:
+        raise GraphError("graph must have at least one vertex")
     edges = list(edges)
     m = len(edges)
     src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
     dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
     w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
-    return sorted_adjacency_from_arrays(src, dst, w, n, directed)
-
-
-def sorted_adjacency_from_arrays(src: np.ndarray, dst: np.ndarray,
-                                 w: np.ndarray, n: int,
-                                 directed: bool = True) -> SortedDigraph:
-    """:func:`build_sorted_adjacency` on edges given as three parallel
-    arrays: integer endpoints ``src`` and ``dst``, float64 costs ``w``."""
-    if n < 1:
-        raise GraphError("graph must have at least one vertex")
-    if w.shape[0]:
+    if m:
         if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
             raise GraphError("edge endpoint out of range")
         if np.any(src == dst):
@@ -418,25 +432,3 @@ def load(path) -> SortedDigraph:
 
     return build_sorted_adjacency(edges, n, directed=directed)
 
-
-def check_invariants(graph: SortedDigraph) -> None:
-    """Assert the structural invariants of a graph (O(n^2); for tests)."""
-    n = graph.n
-    seen_out = set()
-    seen_in = set()
-    for u in range(n):
-        to, w = graph.out_edges(u)
-        assert np.all(np.diff(w) >= 0), f"out_adj[{u}] not sorted"
-        assert not np.any(to == u), "self-loop"
-        eq = np.diff(w) == 0
-        if eq.any():
-            assert np.all(np.diff(to)[eq] > 0), f"out_adj[{u}] tie order"
-        seen_out.update((u, int(v), float(c)) for v, c in zip(to, w))
-    for v in range(n):
-        frm, w = graph.in_edges(v)
-        assert np.all(np.diff(w) >= 0), f"in_adj[{v}] not sorted"
-        eq = np.diff(w) == 0
-        if eq.any():
-            assert np.all(np.diff(frm)[eq] > 0), f"in_adj[{v}] tie order"
-        seen_in.update((int(u), v, float(c)) for u, c in zip(frm, w))
-    assert seen_out == seen_in, "out/in adjacency views disagree"

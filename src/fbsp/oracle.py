@@ -117,8 +117,9 @@ def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
     An edge (u, v) is out-pertinent when c <= 2(M - d[u]) and in-pertinent
     when c < 2(d[v] - M), with M the median tree distance.  For an
     undirected graph each edge is classified once, oriented from its
-    closer endpoint.  O(n^2); this is the reference that the shortest-path
-    runs' queue-insert counters are measured against.
+    closer endpoint.  Parallel edges count once, at their cheapest cost.
+    O(n^2); this is the reference that the shortest-path runs' queue-insert
+    counters are measured against.
     """
     d = np.asarray(tree.dist, dtype=np.float64)
     if not np.all(np.isfinite(d)):

@@ -72,11 +72,11 @@ def _lowered_edge_instance(n, seed):
         v = int(rng.integers(0, n))
         if u != v and tree.parent[v] != u and d[v] > d[u]:
             break
-    rec = g.edge_list()
+    src = np.repeat(np.arange(n), np.diff(g.out_ptr))
     new_cost = float((d[v] - d[u]) * rng.uniform(0.05, 0.9))
     edges = [(a, b, new_cost if (a, b) == (u, v) else c)
-             for a, b, c in zip(rec.u.tolist(), rec.v.tolist(),
-                                rec.cost.tolist())]
+             for a, b, c in zip(src.tolist(), g.out_to.tolist(),
+                                g.out_w.tolist())]
     return build_sorted_adjacency(edges, n), tree
 
 

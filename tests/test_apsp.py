@@ -42,16 +42,28 @@ def test_symmetric_input_gives_symmetric_matrix():
 
 
 def test_rejects_bad_matrices():
-    with pytest.raises(GraphError):
-        apsp(np.zeros((2, 3)))
-    bad = np.ones((3, 3))
-    bad[0, 1] = -1.0
-    with pytest.raises(GraphError):
-        apsp(bad)
-    bad = np.ones((3, 3))
-    bad[0, 1] = np.inf
-    with pytest.raises(GraphError):
-        apsp(bad)
+    for shape in ((2, 3), (3,)):
+        with pytest.raises(GraphError, match="^cost matrix must be square$"):
+            apsp(np.zeros(shape))
+    with pytest.raises(GraphError, match="^graph must have at least one "
+                                         "vertex$"):
+        apsp(np.zeros((0, 0)))
+    for cost in (-1.0, np.inf, np.nan, -np.inf):
+        bad = np.ones((3, 3))
+        bad[0, 1] = cost
+        with pytest.raises(GraphError, match="^edge costs must be finite and "
+                                             "non-negative$"):
+            apsp(bad)
+
+
+def test_matrix_diagonal_is_ignored():
+    costs = np.array([[np.nan, 1.0, 4.0],
+                      [-0.0, -5.0, 2.0],
+                      [0.5, 0.0, np.inf]])
+    result = apsp(costs)
+    assert result.dist.tolist() == [[0.0, 1.0, 3.0],
+                                    [0.0, 0.0, 2.0],
+                                    [0.0, 0.0, 0.0]]
 
 
 def test_total_scans_counted():

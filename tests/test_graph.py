@@ -5,8 +5,31 @@ import pytest
 
 from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
                         SortedDigraph, WeightModel, _sort_rows,
-                        build_sorted_adjacency, check_invariants,
-                        complete_cost_matrix, gen_complete, load, save)
+                        build_sorted_adjacency, complete_cost_matrix,
+                        from_cost_matrix, gen_complete, load, save)
+
+
+def check_invariants(graph: SortedDigraph) -> None:
+    """Assert the structural invariants of a graph (O(n^2))."""
+    n = graph.n
+    seen_out = set()
+    seen_in = set()
+    for u in range(n):
+        to, w = graph.out_edges(u)
+        assert np.all(np.diff(w) >= 0), f"out_adj[{u}] not sorted"
+        assert not np.any(to == u), "self-loop"
+        eq = np.diff(w) == 0
+        if eq.any():
+            assert np.all(np.diff(to)[eq] > 0), f"out_adj[{u}] tie order"
+        seen_out.update((u, int(v), float(c)) for v, c in zip(to, w))
+    for v in range(n):
+        frm, w = graph.in_edges(v)
+        assert np.all(np.diff(w) >= 0), f"in_adj[{v}] not sorted"
+        eq = np.diff(w) == 0
+        if eq.any():
+            assert np.all(np.diff(frm)[eq] > 0), f"in_adj[{v}] tie order"
+        seen_in.update((int(u), v, float(c)) for u, c in zip(frm, w))
+    assert seen_out == seen_in, "out/in adjacency views disagree"
 
 
 def test_single_vertex_has_no_edges():
@@ -184,6 +207,43 @@ def test_cost_matrix_matches_generator():
     assert np.allclose(g.cost_matrix(), m)
 
 
+def test_cost_matrix_keeps_the_cheapest_parallel_edge():
+    g = build_sorted_adjacency(
+        [(0, 1, 1.0), (0, 1, 5.0), (1, 2, 1.0), (0, 2, 3.0), (2, 0, 4.0),
+         (2, 0, 2.0)], 3)
+    assert g.cost_matrix().tolist() == [[0.0, 1.0, 3.0],
+                                        [math.inf, 0.0, 1.0],
+                                        [2.0, math.inf, 0.0]]
+
+
+def adversarial_matrix(n, seed):
+    """Costs drawn half from Exp(1) and half from ties: zeros of both signs,
+    the smallest subnormal, a huge cost, and costs one to four ulps above
+    1.0, which differ only in the low bits a row sort's key gives its
+    vertex; NaN on the diagonal."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 5e-324, 1e300, 1.0]
+                    + [1.0 + k * np.spacing(1.0) for k in range(1, 5)])
+    m = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, (n, n)),
+                 rng.exponential(size=(n, n)))
+    np.fill_diagonal(m, np.nan)
+    return m
+
+
+# 63..65 and 129 end a strip of columns just short, exactly and just past
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 300])
+def test_matrix_graph_matches_edge_list_build(n):
+    assert _STRIP == 64
+    weibull = complete_cost_matrix(n, WeightModel("weibull", seed=3, shape=150))
+    np.fill_diagonal(weibull, np.nan)
+    assert n < 63 or (weibull == 0.0).sum() > 1  # underflowed ties
+    m = adversarial_matrix(n, seed=n)
+    for costs in (m, m.T, weibull):
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        edges = zip(u.tolist(), v.tolist(), costs[u, v].tolist())
+        assert from_cost_matrix(costs) == build_sorted_adjacency(edges, n)
+
+
 def test_uniform_costs_in_unit_interval():
     g = gen_complete(40, WeightModel("uniform", seed=2))
     assert g.out_w.min() >= 0.0
@@ -213,9 +273,8 @@ def test_build_two_edge_example():
 def test_build_empty_edge_list():
     g = build_sorted_adjacency([], n=4)
     assert g.num_edges == 0
-    for u in range(4):
-        assert g.out_degree(u) == 0
-        assert g.in_degree(u) == 0
+    assert np.diff(g.out_ptr).tolist() == [0, 0, 0, 0]
+    assert np.diff(g.in_ptr).tolist() == [0, 0, 0, 0]
 
 
 def test_build_matches_comparison_sort_reference():

@@ -108,6 +108,15 @@ def test_classify_spt_edges_partition():
         assert counts.out_spt + counts.in_spt == 79
 
 
+def test_classify_counts_a_parallel_edge_once_at_its_cheapest_cost():
+    g = build_sorted_adjacency([(0, 1, 1.0), (0, 1, 5.0), (1, 2, 1.0),
+                                (0, 2, 3.0)], n=3)
+    counts = classify_pertinence(g, dijkstra(g, 0))  # M = 1
+    assert counts.out_spt == 1       # (0,1) at 1 <= 2(1-0); not 5
+    assert counts.in_spt == 1        # (1,2): 1 < 2(2-1)
+    assert counts.total == 2         # (0,2) at 3 is neither
+
+
 def test_classify_requires_spanning_tree():
     g = build_sorted_adjacency([(0, 1, 1.0), (2, 1, 1.0)], n=3)
     with pytest.raises(ValueError):

@@ -1,0 +1,16 @@
+"""Checks on the library's source text."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fbsp"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so a library check must raise
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}" for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -12,6 +12,12 @@ from fbsp.verify import (VerifyError, VerifyReport, _report, select_median,
                          verify_full)
 
 
+def edge_triples(g):
+    """Every edge of ``g`` as (u, v, cost), in out-list order."""
+    src = np.repeat(np.arange(g.n), np.diff(g.out_ptr))
+    return list(zip(src.tolist(), g.out_to.tolist(), g.out_w.tolist()))
+
+
 def test_tree_distances_chain():
     g = build_sorted_adjacency([(0, 1, 1.0), (1, 2, 1.0)], n=3)
     d = tree_distances(g, [-1, 0, 1], 0)
@@ -102,8 +108,7 @@ def lowered_edge_instance(n=64, seed=0):
         if slack <= 0:
             continue
         break
-    rec = g.edge_list()
-    edges = list(zip(rec.u.tolist(), rec.v.tolist(), rec.cost.tolist()))
+    edges = edge_triples(g)
     new_cost = float(slack * rng.uniform(0.05, 0.9))
     edges = [(a, b, new_cost if (a, b) == (u, v) else c) for a, b, c in edges]
     bad_graph = build_sorted_adjacency(edges, n)
@@ -183,8 +188,7 @@ def test_three_way_agreement_on_tree_edge_perturbations():
     for seed in range(4):
         n = 40
         g, tree = true_tree(n=n, seed=seed)
-        rec = g.edge_list()
-        edges = list(zip(rec.u.tolist(), rec.v.tolist(), rec.cost.tolist()))
+        edges = edge_triples(g)
         for v in range(1, n):
             u = int(tree.parent[v])
             g2 = build_sorted_adjacency(
