@@ -7,8 +7,8 @@ complete graphs.
 """
 
 from .graph import (EXPONENTIAL, UNIFORM, WEIBULL, GraphError, SortedDigraph,
-                    WeightModel, build_sorted_adjacency, complete_cost_matrix,
-                    gen_complete, load, save)
+                    WeightModel, build_sorted_adjacency, gen_complete, load,
+                    save)
 from .pq import (BinaryHeapQueue, BucketQueue, QueueStats, bucket_defaults,
                  replay)
 from .sssp import (FbRecording, ScanStats, ShortestPathTree, dijkstra,

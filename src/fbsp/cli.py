@@ -120,11 +120,12 @@ def _graphs(args):
     """The one path from flags to graphs: ``(echo, make)``.
 
     ``echo`` holds the ``n``, ``dist``, ``shape`` and ``directed`` that every
-    config echoes.  ``make(trial[, n])`` returns the graph trial ``trial``
-    runs on: generated from ``WeightModel(seed=seed_derivation(--seed,
-    trial))``, or the ``--graph`` file, loaded once.  A loaded graph echoes
-    the file's own n and directedness with an empty model, and takes no
-    model flags and no other ``--n``.
+    config echoes.  ``make(trial[, n])`` returns ``(graph, seed)``: the graph
+    trial ``trial`` runs on, generated from ``WeightModel(seed=seed)`` with
+    ``seed = seed_derivation(--seed, trial)``, or the ``--graph`` file, loaded
+    once, with seed None, since no seed made it.  A loaded graph echoes the
+    file's own n and directedness with an empty model, and takes no model
+    flags and no other ``--n``.
     """
     if getattr(args, "graph", None) is not None:
         if args.dist is not None or args.shape is not None or args.undirected:
@@ -136,7 +137,7 @@ def _graphs(args):
                            f"vertices of {args.graph}")
         echo = {"n": graph.n, "dist": None, "shape": None,
                 "directed": graph.directed}
-        return echo, lambda trial: graph
+        return echo, lambda trial: (graph, None)
     if args.n is None:
         raise CliError("either --n or --graph is required")
     model = WeightModel(args.dist or EXPONENTIAL, shape=args.shape)
@@ -144,19 +145,11 @@ def _graphs(args):
 
     def make(trial, n=args.n):
         seed = seed_derivation(args.seed, trial)
-        return gen_complete(n, replace(model, seed=seed), directed=directed)
+        return gen_complete(n, replace(model, seed=seed), directed), seed
 
     echo = {"n": args.n, "dist": model.kind, "shape": model.shape,
             "directed": directed}
     return echo, make
-
-
-def _trial_seed(args, trial: int) -> Optional[int]:
-    """The seed that made trial ``trial``'s graph; None for a ``--graph``
-    file, which no seed made."""
-    if getattr(args, "graph", None) is not None:
-        return None
-    return seed_derivation(args.seed, trial)
 
 
 def _positive_int(text: str) -> int:
@@ -228,7 +221,7 @@ _SSSP_CSV = (["trial", "seed", "algo", "n", "model", "shape", "directed",
 
 def _cmd_gen(args) -> int:
     _, make = _graphs(args)
-    g = make(0)
+    g, _ = make(0)
     save(g, _out_path(args.out))
     print(f"wrote {g!r} to {args.out}")
     return 0
@@ -240,8 +233,9 @@ def _cmd_sssp(args) -> int:
     rows = []
     t_all = time.perf_counter_ns()
     for t in range(args.trials):
-        tree, stats, ns = _run_algo(args.algo, make(t), args.source)
-        rows.append({"trial": t, "seed": _trial_seed(args, t),
+        graph, seed = make(t)
+        tree, stats, ns = _run_algo(args.algo, graph, args.source)
+        rows.append({"trial": t, "seed": seed,
                      "algo": args.algo, "n": echo["n"], "model": echo["dist"],
                      "shape": echo["shape"], "directed": echo["directed"],
                      "pq": pq, "source": args.source, "wall_time_ns": ns,
@@ -267,7 +261,7 @@ def _cmd_sssp(args) -> int:
 
 def _cmd_verify(args) -> int:
     echo, make = _graphs(args)
-    graph = make(0)
+    graph, _ = make(0)
     tree, _, _ = _run_algo(args.algo, graph, args.source)
     checker = {"full": verify_full, "forward": verify_forward_only,
                "fb": verify_fb}[args.mode]
@@ -284,7 +278,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_apsp(args) -> int:
     echo, make = _graphs(args)
-    graph = make(0)
+    graph, _ = make(0)
     result = apsp(graph)
     if args.dump:
         blob = _MAGIC + struct.pack("<Q", graph.n) + result.dist.tobytes()
@@ -356,9 +350,10 @@ def _cmd_bench_scan_scaling(args) -> int:
     for n in echo["n"]:
         per_n = []
         for t in range(args.trials):
-            _, stats, _ = _run_algo(args.algo, make(t, n), 0)
+            graph, seed = make(t, n)
+            _, stats, _ = _run_algo(args.algo, graph, 0)
             per_n.append(stats.total_scans)
-            rows.append({"n": n, "trial": t, "seed": _trial_seed(args, t),
+            rows.append({"n": n, "trial": t, "seed": seed,
                          **stats.as_dict(), "total_scans": stats.total_scans})
         mean = sum(per_n) / len(per_n)
         table.append({"n": n, "mean_total_scans": mean,
@@ -384,7 +379,7 @@ def _cmd_bench_verify_compare(args) -> int:
         raise CliError(f"--n must be at least 2, got {n}")
     rows = []
     for t in range(args.trials):
-        graph = make(t)
+        graph, seed = make(t)
         tree = dijkstra(graph, 0)
         t0 = time.perf_counter_ns()
         fwd = verify_forward_only(graph, tree)
@@ -393,7 +388,7 @@ def _cmd_bench_verify_compare(args) -> int:
         t2 = time.perf_counter_ns()
         if not (fwd.accepted and fb.accepted):
             raise AssertionError("true tree rejected")
-        rows.append({"trial": t, "seed": _trial_seed(args, t),
+        rows.append({"trial": t, "seed": seed,
                      "forward_only_examined": fwd.edges_examined,
                      "fb_examined": fb.edges_examined,
                      "forward_only_wall_ns": t1 - t0,

@@ -82,7 +82,9 @@ class SortedDigraph:
     Adjacency is stored CSR-style: the outgoing edges of vertex ``u`` are
     ``out_to[out_ptr[u]:out_ptr[u+1]]`` with costs ``out_w[...]``, sorted by
     (cost, target).  Incoming edges are stored symmetrically, sorted by
-    (cost, source).  Both views describe the same edge multiset.
+    (cost, source).  Both views describe the same edge multiset.  An
+    undirected graph holds each edge in both directions, so its in-lists
+    equal its out-lists, and its in-arrays are its out-arrays.
     """
 
     __slots__ = ("n", "directed", "out_ptr", "out_to", "out_w",
@@ -275,8 +277,11 @@ def _dense_graph(n: int, directed: bool, fill) -> SortedDigraph:
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     deg = n - 1
-    out_to, in_from = np.empty((2, n, deg), dtype=np.int32)
-    out_w, in_w = np.empty((2, n, deg), dtype=np.float64)
+    # symmetric costs: an undirected graph's in-lists are its out-lists
+    shape = (2 if directed else 1, n, deg)
+    ends = np.empty(shape, dtype=np.int32)
+    costs = np.empty(shape, dtype=np.float64)
+    out_to, in_from, out_w, in_w = ends[0], ends[-1], costs[0], costs[-1]
     h = max(1, _BLOCK_CELLS // n)
     full = np.empty(max(h, _STRIP) * n)
     keys = np.empty(h * n, dtype=np.uint64)
@@ -318,29 +323,11 @@ def _dense_graph(n: int, directed: bool, fill) -> SortedDigraph:
         block[r0::n + 1] = np.inf  # the diagonal sorts last
         _sort_rows(block.reshape(-1, n), keys[:block.size].reshape(-1, n),
                    out_to[r0:r1], out_w[r0:r1])
-    if not directed:  # symmetric costs: the in-lists equal the out-lists
-        in_from[:] = out_to
-        in_w[:] = out_w
 
     ptr = np.arange(n + 1, dtype=np.int64) * deg
     return SortedDigraph(n, directed, ptr, out_to.ravel(), out_w.ravel(),
-                         ptr.copy(), in_from.ravel(), in_w.ravel())
-
-
-def complete_cost_matrix(n: int, model: WeightModel, directed: bool = True) -> np.ndarray:
-    """Dense cost matrix of the same graph :func:`gen_complete` would build.
-
-    Raises :class:`GraphError` if a cost is not finite."""
-    if n < 1:
-        raise GraphError("graph must have at least one vertex")
-    offset = _stream_offset(model.seed)
-    m = np.empty((n, n))
-    for r0, r1 in _row_blocks(n):
-        _block_costs(n, r0, r1, model, directed, offset, m[r0:r1].reshape(-1))
-    np.fill_diagonal(m, 0.0)
-    if not np.isfinite(m).all():
-        raise GraphError(_NOT_FINITE)
-    return m
+                         ptr.copy() if directed else ptr, in_from.ravel(),
+                         in_w.ravel())
 
 
 def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
@@ -349,7 +336,9 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
 
     Costs must be finite and non-negative, endpoints in [0, n) and distinct.
     Each list is sorted by cost, ties by the other endpoint; repeated pairs
-    are kept as separate edges.
+    are kept as separate edges.  If ``directed`` is false, each (u, v, cost)
+    is one undirected edge, held as u -> v and v -> u, and the in-lists are
+    the out-lists.
     """
     if n < 1:
         raise GraphError("graph must have at least one vertex")
@@ -365,6 +354,9 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
             raise GraphError("self-loops are not allowed")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise GraphError("edge costs must be finite and non-negative")
+    if not directed:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        w = np.concatenate((w, w))
 
     def _csr(key_src, key_dst, key_w):
         order = np.lexsort((key_dst, key_w))
@@ -374,9 +366,9 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
         np.cumsum(np.bincount(s, minlength=n), out=ptr[1:])
         return ptr, d[by_vertex].astype(np.int32), ww[by_vertex]
 
-    out_ptr, out_to, out_w = _csr(src, dst, w)
-    in_ptr, in_from, in_w = _csr(dst, src, w)
-    return SortedDigraph(n, directed, out_ptr, out_to, out_w, in_ptr, in_from, in_w)
+    out = _csr(src, dst, w)
+    in_ = _csr(dst, src, w) if directed else out
+    return SortedDigraph(n, directed, *out, *in_)
 
 
 def save(graph: SortedDigraph, path) -> None:
@@ -394,9 +386,10 @@ def save(graph: SortedDigraph, path) -> None:
 def load(path) -> SortedDigraph:
     """Load a graph saved by :func:`save`, validating and re-sorting it.
 
-    Rejects malformed headers, out-of-range endpoints, negative costs, and
-    files whose per-vertex edge sequences are not in non-decreasing cost
-    order (i.e. files not produced by :func:`save`).
+    Rejects malformed headers, out-of-range endpoints, costs that are
+    negative or not finite, and files whose per-vertex edge sequences are
+    not in non-decreasing cost order (i.e. files not produced by
+    :func:`save`).
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
@@ -422,13 +415,14 @@ def load(path) -> SortedDigraph:
                 u, v, c = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise GraphError(f"malformed edge on line {lineno}") from exc
+            if not 0.0 <= c < np.inf:
+                raise GraphError(f"edge cost {parts[2]} on line {lineno} is "
+                                 "not finite and non-negative")
             if c < last_cost.get(u, 0.0):
                 raise GraphError(
                     f"adjacency of vertex {u} not sorted (line {lineno})")
             last_cost[u] = c
             edges.append((u, v, c))
-            if not directed:
-                edges.append((v, u, c))
 
     return build_sorted_adjacency(edges, n, directed=directed)
 

@@ -220,7 +220,9 @@ class BucketQueue:
         if key < self._minkey[i]:
             self._minkey[i] = key
         if i < self._a:
-            # legal only before the first extraction; rewind the scan index
+            # min_key may have moved the scan index past empty buckets.  No
+            # bucket is split (checked above), so this is legal before or
+            # after an extraction: rewind the scan index to the key's bucket
             self._a = i
 
     def _split(self, i: int) -> None:

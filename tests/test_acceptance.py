@@ -15,8 +15,7 @@ import pytest
 from fbsp.apsp import apsp
 from fbsp.cli import seed_derivation
 from fbsp.graph import (EXPONENTIAL, UNIFORM, WEIBULL, WeightModel,
-                        build_sorted_adjacency, complete_cost_matrix,
-                        gen_complete)
+                        build_sorted_adjacency, gen_complete)
 from fbsp.oracle import (classify_pertinence, harmonic_expected_distance,
                          pertinence_rates, sample_spt, tail_fraction)
 from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
@@ -246,7 +245,7 @@ def test_11_apsp_quadratic_scaling():
         totals = {}
         for n in (256, 512):
             model = WeightModel(EXPONENTIAL, seed=seed_derivation(MASTER, n))
-            costs = complete_cost_matrix(n, model)
+            costs = gen_complete(n, model).cost_matrix()
             result = apsp(costs)
             totals[n] = result.total_scans
         ratio = totals[512] / totals[256]

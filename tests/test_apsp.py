@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fbsp.apsp import apsp
-from fbsp.graph import (EXPONENTIAL, GraphError, WeightModel,
-                        complete_cost_matrix, gen_complete)
+from fbsp.graph import EXPONENTIAL, GraphError, WeightModel, gen_complete
 from fbsp.sssp import dijkstra
 
 
@@ -25,10 +24,8 @@ def test_single_vertex():
 
 
 def test_from_raw_cost_matrix():
-    model = WeightModel(EXPONENTIAL, seed=4)
-    costs = complete_cost_matrix(25, model)
-    result = apsp(costs)
-    g = gen_complete(25, model)
+    g = gen_complete(25, WeightModel(EXPONENTIAL, seed=4))
+    result = apsp(g.cost_matrix())
     for s in range(25):
         np.testing.assert_allclose(result.dist[s], dijkstra(g, s).dist,
                                    rtol=1e-9)

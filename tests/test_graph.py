@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
                         SortedDigraph, WeightModel, _sort_rows,
-                        build_sorted_adjacency, complete_cost_matrix,
-                        from_cost_matrix, gen_complete, load, save)
+                        build_sorted_adjacency, from_cost_matrix,
+                        gen_complete, load, save)
 
 
 def check_invariants(graph: SortedDigraph) -> None:
@@ -196,15 +197,6 @@ def test_infinite_costs_are_rejected(directed):
     model = WeightModel("weibull", seed=1, shape=400.0)
     with pytest.raises(GraphError, match="overflows"):
         gen_complete(50, model, directed)
-    with pytest.raises(GraphError, match="overflows"):
-        complete_cost_matrix(50, model, directed)
-
-
-def test_cost_matrix_matches_generator():
-    model = WeightModel(EXPONENTIAL, seed=11)
-    g = gen_complete(9, model)
-    m = complete_cost_matrix(9, model)
-    assert np.allclose(g.cost_matrix(), m)
 
 
 def test_cost_matrix_keeps_the_cheapest_parallel_edge():
@@ -234,7 +226,8 @@ def adversarial_matrix(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 300])
 def test_matrix_graph_matches_edge_list_build(n):
     assert _STRIP == 64
-    weibull = complete_cost_matrix(n, WeightModel("weibull", seed=3, shape=150))
+    weibull = gen_complete(n, WeightModel("weibull", seed=3,
+                                          shape=150)).cost_matrix()
     np.fill_diagonal(weibull, np.nan)
     assert n < 63 or (weibull == 0.0).sum() > 1  # underflowed ties
     m = adversarial_matrix(n, seed=n)
@@ -327,11 +320,41 @@ def test_save_load_round_trip(tmp_path):
         assert load(path) == g
 
 
+# one orientation of an edge, and a repeated edge of a multigraph
+@pytest.mark.parametrize("edges", [[(1, 0, 1.0)],
+                                   [(0, 1, 1.0), (2, 0, 0.5), (1, 0, 1.0)]])
+def test_undirected_edge_list_round_trip(edges, tmp_path):
+    g = build_sorted_adjacency(edges, 3, directed=False)
+    assert g.num_edges == 2 * len(edges)
+    path = tmp_path / "g.txt"
+    save(g, path)
+    assert load(path) == g
+
+
+def test_undirected_graph_stores_one_adjacency(tmp_path):
+    edges = [(0, 1, 2.0), (2, 1, 1.0), (0, 2, 1.0)]
+    for directed in (True, False):
+        complete = gen_complete(20, WeightModel(EXPONENTIAL, seed=2), directed)
+        path = tmp_path / f"g{int(directed)}.txt"
+        save(complete, path)
+        for g in (complete, build_sorted_adjacency(edges, 3, directed),
+                  load(path)):
+            check_invariants(g)
+            assert np.shares_memory(g.out_w, g.in_w) == (not directed)
+            assert np.shares_memory(g.out_to, g.in_from) == (not directed)
+
+
 def test_load_rejects_negative_cost(tmp_path):
+    # a bad cost after a good one is named as such, not as an unsorted list
     path = tmp_path / "bad.txt"
-    path.write_text("2 1\n0 1 -1.0\n")
-    with pytest.raises(GraphError):
-        load(path)
+    for text, message in (("2 1\n0 1 -1.0\n", "edge cost -1.0 on line 2"),
+                          ("2 0\n0 1 nan\n", "edge cost nan on line 2"),
+                          ("3 1\n0 1 2.0\n0 2 -1.0\n",
+                           "edge cost -1.0 on line 3")):
+        path.write_text(text)
+        with pytest.raises(GraphError, match=re.escape(
+                message + " is not finite and non-negative")):
+            load(path)
 
 
 def test_load_rejects_unsorted_adjacency(tmp_path):

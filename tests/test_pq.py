@@ -147,7 +147,7 @@ def test_late_inserts_into_active_bucket():
     assert out == [1.5, 2.0, 2.5, 3.0]
 
 
-def test_insert_below_scan_index_before_extraction():
+def test_insert_below_scan_index_rewinds_it():
     # min_key advances the scan index past empty buckets; a later insert of a
     # smaller key is still legal before any extraction has happened
     q = make_bucket(nbuckets=8, width=1.0)
@@ -157,6 +157,15 @@ def test_insert_below_scan_index_before_extraction():
     assert q.min_key() == 2.5
     assert q.extract_min() == ("lo", 2.5)
     assert q.extract_min() == ("hi", 6.5)
+    # and after one, once the split bucket has drained
+    q = make_bucket(nbuckets=10, width=1.0)
+    q.insert("a", 5.2)
+    q.insert("c", 7.5)
+    assert q.extract_min() == ("a", 5.2)
+    assert q.min_key() == 7.5  # the scan index moves to bucket 7
+    q.insert("b", 5.5)
+    assert q.extract_min() == ("b", 5.5)
+    assert q.extract_min() == ("c", 7.5)
 
 
 def test_monotone_contract_violation_detected():
