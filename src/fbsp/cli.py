@@ -485,7 +485,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, GraphError, VerifyError, ValueError, OSError) as exc:
+    except (CliError, GraphError, VerifyError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -114,19 +114,6 @@ class SortedDigraph:
         lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
         return self.in_from[lo:hi], self.in_w[lo:hi]
 
-    def cost_matrix(self) -> np.ndarray:
-        """Dense n*n cost matrix: the cheapest copy of each edge, +inf where
-        there is none, 0 on the diagonal.
-
-        Intended for small graphs (tests, exhaustive classification); the
-        matrix is rebuilt on every call.
-        """
-        m = np.full((self.n, self.n), np.inf)
-        np.fill_diagonal(m, 0.0)
-        src = np.repeat(np.arange(self.n), np.diff(self.out_ptr))
-        np.minimum.at(m, (src, self.out_to), self.out_w)  # applies every repeat
-        return m
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SortedDigraph):
             return NotImplemented
@@ -397,8 +384,8 @@ def load(path) -> SortedDigraph:
             raise GraphError("malformed graph header")
         try:
             n = int(header[0])
-            directed = bool(int(header[1]))
-        except ValueError as exc:
+            directed = {"0": False, "1": True}[header[1]]
+        except (ValueError, KeyError) as exc:
             raise GraphError("malformed graph header") from exc
         if n < 1:
             raise GraphError("graph must have at least one vertex")

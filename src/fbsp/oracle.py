@@ -11,10 +11,10 @@ and a fresh Exp(1) when k < j (undirected graphs: |d_k - d_j| + Exp(1)).
 This module samples that description directly (:func:`sample_spt`, O(n) per
 draw, no edges materialized), evaluates the exact expected distance formula
 (:func:`harmonic_expected_distance`), classifies the pertinent edges of a
-concrete graph exhaustively (:func:`classify_pertinence`), and estimates
-pertinent-edge counts and tail probabilities by sampling edge costs
-conditionally on a drawn tree (:func:`sample_pertinence_counts`,
-:func:`tail_fraction`).
+concrete graph (:func:`classify_pertinence`), and estimates pertinent-edge
+counts and tail probabilities by sampling edge costs conditionally on a
+drawn tree (:func:`sample_pertinence_counts`, :func:`tail_fraction`).  Both
+classifiers count a tree edge as in-pertinent iff it is not out-pertinent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import SortedDigraph
-from .verify import select_median
+from .verify import _parent_edges, _pertinent, _windows, select_median
 
 
 @dataclass
@@ -74,12 +74,6 @@ class PertinenceRates:
 
     lambda_in: float
     lambda_out: float
-    median: float
-    dist: np.ndarray
-
-    def y(self, i: int, j: int) -> float:
-        """2M - d_i - d_j for 1-based distance ranks i, j."""
-        return 2.0 * self.median - float(self.dist[i - 1]) - float(self.dist[j - 1])
 
 
 def sample_spt(n: int, seed) -> SptSample:
@@ -112,62 +106,53 @@ def harmonic_expected_distance(n: int, k: int) -> float:
 
 
 def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
-    """Exhaustively classify every edge of ``graph`` against ``tree``.
+    """Classify every edge of ``graph`` against ``tree``.
 
     An edge (u, v) is out-pertinent when c <= 2(M - d[u]) and in-pertinent
-    when c < 2(d[v] - M), with M the median tree distance.  For an
-    undirected graph each edge is classified once, oriented from its
-    closer endpoint.  Parallel edges count once, at their cheapest cost.
-    O(n^2); this is the reference that the shortest-path runs' queue-insert
-    counters are measured against.
+    when c < 2(d[v] - M), with M the median tree distance: the windows that
+    :func:`~fbsp.verify.verify_fb` reads, found by its row-window scan, so
+    no n x n array is built.  Parallel edges count once, at their cheapest
+    cost, first in a sorted row.  For an undirected graph each edge is
+    classified once, oriented from its closer endpoint (ties by label).  A
+    tree edge is in-pertinent iff it is not out-pertinent: exactly so in
+    exact arithmetic, while rounding may let a tree edge at d[u] = d[v] = M
+    meet neither bound.  This is the reference that the shortest-path runs'
+    queue-insert counters are measured against.
     """
     d = np.asarray(tree.dist, dtype=np.float64)
     if not np.all(np.isfinite(d)):
         raise ValueError("pertinence classification needs a spanning tree")
     n = graph.n
     M = select_median(d)
+    rank = np.lexsort((np.arange(n), d)).argsort()  # by (d, label)
 
-    C = graph.cost_matrix()
-    present = np.isfinite(C)
-    np.fill_diagonal(present, False)
+    def pertinent(outgoing: bool) -> np.ndarray:
+        """Sorted keys u*n + v of the pairs with an edge in a window."""
+        rows, *window = _pertinent(d, M, outgoing)
+        start, end, _ = _windows(graph, rows, *window)
+        size = end - start
+        pos = np.arange(size.sum()) + np.repeat(end - np.cumsum(size), size)
+        row = np.repeat(rows, size)
+        ends = graph.out_to if outgoing else graph.in_from
+        other = ends[pos].astype(np.int64)  # keys overflow int32
+        u, v = (row, other) if outgoing else (other, row)
+        closer_first = (rank[u] < rank[v]) | graph.directed
+        return np.unique((u * n + v)[closer_first])
 
-    out_mask = present & (C <= 2.0 * (M - d)[:, None])
-    in_mask = present & (C < 2.0 * (d - M)[None, :])
-
-    if not graph.directed:
-        # one orientation per edge: closer endpoint first (ties by label)
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.lexsort((np.arange(n), d))] = np.arange(n)
-        closer_first = rank[:, None] < rank[None, :]
-        out_mask &= closer_first
-        in_mask &= closer_first
-
-    spt_mask = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        p = int(tree.parent[v])
-        if p < 0:
-            continue
-        if graph.directed or d[p] < d[v] or (d[p] == d[v] and p < v):
-            spt_mask[p, v] = True
-        else:
-            spt_mask[v, p] = True
-
-    both = out_mask & in_mask
-    if both.any():
+    out_keys, in_keys = pertinent(True), pertinent(False)
+    if np.intersect1d(out_keys, in_keys, assume_unique=True).shape[0]:
         raise AssertionError("edge classified as both out- and in-pertinent")
 
-    out_spt = int((out_mask & spt_mask).sum())
-    in_spt = int((in_mask & spt_mask).sum())
-    counts = PertinenceCounts(
+    kids, p, _ = _parent_edges(graph, np.asarray(tree.parent, dtype=np.int64))
+    flip = (rank[p] > rank[kids]) & (not graph.directed)
+    tree_keys = np.where(flip, kids * n + p, p * n + kids)
+    out_spt = int(np.isin(tree_keys, out_keys).sum())
+    return PertinenceCounts(
         out_spt=out_spt,
-        in_spt=in_spt,
-        out_non_spt=int(out_mask.sum()) - out_spt,
-        in_non_spt=int(in_mask.sum()) - in_spt,
+        in_spt=kids.shape[0] - out_spt,
+        out_non_spt=out_keys.shape[0] - out_spt,
+        in_non_spt=in_keys.shape[0] - int(np.isin(tree_keys, in_keys).sum()),
     )
-    if counts.out_spt + counts.in_spt != int((tree.parent >= 0).sum()):
-        raise AssertionError(
-            "every tree edge must fall in exactly one pertinence class")
-    return counts
 
 
 def pertinence_rates(sample: SptSample) -> PertinenceRates:
@@ -180,7 +165,7 @@ def pertinence_rates(sample: SptSample) -> PertinenceRates:
     M = float(d[m - 1])
     lam_in = 2.0 * (n - 1) * float(np.sum(d[m:] - M))
     lam_out = 2.0 * (n - 1) * float(np.sum(M - d[:m - 1]))
-    return PertinenceRates(lam_in, lam_out, M, d)
+    return PertinenceRates(lam_in, lam_out)
 
 
 def sample_pertinence_counts(sample: SptSample, rng,

@@ -17,7 +17,10 @@ The fast verifiers and :func:`tree_distances` read their windows with one
 vectorised row-window scan (:func:`_first_true`): it gathers a short prefix
 of every row at once and widens it, four times at a step, only for the rows
 whose window (or sought parent) lies beyond it.  Counts and witnesses are
-those of a row-by-row scan in vertex order.
+those of a row-by-row scan in vertex order.  The windows of
+:func:`verify_fb` are defined once, in :func:`_pertinent`;
+:func:`fbsp.oracle.classify_pertinence` reads them, and looks up tree edges
+by :func:`_parent_edges`, with the same scan.
 
 Each also rejects a tree whose reported ``dist`` differs from the distances
 along its own edges.  All three agree on accept/reject for every input.
@@ -98,15 +101,37 @@ def _first_true(start: np.ndarray, stop: np.ndarray, pred) -> np.ndarray:
     return first
 
 
+def _parent_edges(graph: SortedDigraph, parent: np.ndarray):
+    """(kids, parents, at): the vertices whose parent is not -1, their
+    parents, and the flat in-list position of each parent edge's cheapest
+    copy, from one row-window scan of the in-lists.  Raises
+    :class:`VerifyError` on the first vertex whose parent is out of range
+    or whose parent edge is not in the graph."""
+    n = graph.n
+    kids = np.flatnonzero(parent != -1)
+    p = parent[kids]
+    start = graph.in_ptr[kids]
+    stop = np.where((p >= 0) & (p < n), graph.in_ptr[kids + 1], start)
+    at = _first_true(start, stop,
+                     lambda s, pos: graph.in_from[pos] == p[s, None])
+    missing = kids[at == stop]
+    if missing.shape[0]:
+        v = missing[0]  # the first bad vertex in vertex order names the error
+        if not 0 <= parent[v] < n:
+            raise VerifyError(f"parent of {v} out of range")
+        raise VerifyError(f"tree edge ({parent[v]}, {v}) is not in the graph")
+    return kids, p, at
+
+
 def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
                    ) -> np.ndarray:
     """Distances along the tree given by ``parent`` (-1 marks no parent).
 
     Looks up every parent edge in one row-window scan of the in-lists, then
     walks the tree from the root.  Rejects parent arrays that contain cycles,
-    chains of parents that end short of the source, or edges absent from
-    the graph; vertices with no parent other than the source get distance
-    +inf.
+    parents out of range, chains of parents that end short of the source, or
+    edges absent from the graph; vertices with no parent other than the
+    source get distance +inf.
     """
     n = graph.n
     parent = np.asarray(parent, dtype=np.int64)
@@ -117,20 +142,7 @@ def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
     if parent[source] != -1:
         raise VerifyError("source must have no parent")
 
-    kids = np.flatnonzero(parent >= 0)
-    p = parent[kids]
-    start = graph.in_ptr[kids]
-    stop = np.where(p < n, graph.in_ptr[kids + 1], start)  # none for p >= n
-    at = _first_true(start, stop,
-                     lambda s, pos: graph.in_from[pos] == p[s, None])
-    missing = kids[at == stop]
-    if missing.shape[0]:
-        v = missing[0]  # the first bad vertex in vertex order names the error
-        if parent[v] >= n:
-            raise VerifyError(f"parent of {v} out of range")
-        raise VerifyError(f"tree edge ({parent[v]}, {v}) is not in the graph")
-
-    # multi-edges: the cheapest copy, first in the sorted row
+    kids, p, at = _parent_edges(graph, parent)
     children = [[] for _ in range(n)]
     for v, pv, c in zip(kids.tolist(), p.tolist(), graph.in_w[at].tolist()):
         children[pv].append((v, c))
@@ -227,28 +239,47 @@ def verify_full(graph: SortedDigraph, tree) -> VerifyReport:
     return _report(tree, d, examined, witness, max_distance=D)
 
 
+def _windows(graph: SortedDigraph, rows: np.ndarray, thr: np.ndarray,
+             inclusive: bool, outgoing: bool):
+    """(start, end, stop) of the sorted out-lists (in-lists unless
+    ``outgoing``) of ``rows``: a row is [start, stop) of the flat arrays,
+    its window [start, end) its edges with cost < thr (<= thr when
+    ``inclusive``)."""
+    ptr, costs = ((graph.out_ptr, graph.out_w) if outgoing
+                  else (graph.in_ptr, graph.in_w))
+    start, stop = ptr[rows], ptr[rows + 1]
+    past = np.greater if inclusive else np.greater_equal
+    end = _first_true(start, stop,
+                      lambda s, pos: past(costs[pos], thr[s, None]))
+    return start, end, stop
+
+
+def _pertinent(d: np.ndarray, M: float, outgoing: bool):
+    """(rows, thr, inclusive, outgoing) of the pertinent windows around the
+    median tree distance M: if ``outgoing``, for every u with d[u] <= M, the
+    out-edges with c <= 2(M - d[u]); if not, for every v with d[v] >= M,
+    the in-edges with c < 2(d[v] - M)."""
+    if outgoing:
+        rows = np.flatnonzero(d <= M)
+        return rows, 2.0 * (M - d[rows]), True, True
+    rows = np.flatnonzero(d >= M)
+    return rows, 2.0 * (d[rows] - M), False, False
+
+
 def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
                   thr: np.ndarray, inclusive: bool, outgoing: bool):
-    """Row-window scan of the sorted out-lists (in-lists unless
-    ``outgoing``) of ``rows``, as a row-by-row scan in row order would read
-    them.
+    """Row-window scan of the :func:`_windows` of ``rows``, as a row-by-row
+    scan in row order would read them.
 
-    A row's window holds its edges with cost < thr (<= thr when
-    ``inclusive``) and is read with the terminator edge after it, if the row
-    has one; violations are looked for in the window.  Returns the edges
-    read by the rows before the first row with a violation (all rows when
-    none has one) and, for that row, (witness, edges up to and including
-    the violation, edges the row reads).
+    A window is read with the terminator edge after it, if the row has one;
+    violations are looked for in the window.  Returns the edges read by the
+    rows before the first row with a violation (all rows when none has one)
+    and, for that row, (witness, edges up to and including the violation,
+    edges the row reads).
     """
-    if outgoing:
-        ptr, ends, costs = graph.out_ptr, graph.out_to, graph.out_w
-    else:
-        ptr, ends, costs = graph.in_ptr, graph.in_from, graph.in_w
-    start, stop = ptr[rows], ptr[rows + 1]
-    if inclusive:
-        end = _first_true(start, stop, lambda s, pos: costs[pos] > thr[s, None])
-    else:
-        end = _first_true(start, stop, lambda s, pos: costs[pos] >= thr[s, None])
+    ends, costs = ((graph.out_to, graph.out_w) if outgoing
+                   else (graph.in_from, graph.in_w))
+    start, end, stop = _windows(graph, rows, thr, inclusive, outgoing)
     read = np.minimum(end + 1, stop)
     d_row = d[rows]
 
@@ -289,25 +320,19 @@ def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
 
 
 def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
-    """Check only the pertinent edges around the median tree distance.
-
-    Forward: for every u with d[u] <= M, the out-edges with c <= 2(M - d[u]).
-    Backward: for every v with d[v] >= M, the in-edges with c < 2(d[v] - M).
-    Each phase reads (and counts) at most one terminator edge per vertex
-    beyond its window.
+    """Check only the pertinent edges around the median tree distance M
+    (:func:`_pertinent`): the out-windows, then, if they hold no violation,
+    the in-windows.  Each phase reads (and counts) at most one terminator
+    edge per vertex beyond its window.
     """
     d = tree_distances(graph, tree.parent, tree.source)
     if not np.all(np.isfinite(d)):
         raise VerifyError("tree does not span the graph; median undefined")
     D = float(d.max())
     M = select_median(d)
-    rows = np.flatnonzero(d <= M)
-    examined, found = _scan_windows(graph, d, rows, 2.0 * (M - d[rows]),
-                                    inclusive=True, outgoing=True)
+    examined, found = _scan_windows(graph, d, *_pertinent(d, M, True))
     if found is None:
-        rows = np.flatnonzero(d >= M)
-        more, found = _scan_windows(graph, d, rows, 2.0 * (d[rows] - M),
-                                    inclusive=False, outgoing=False)
+        more, found = _scan_windows(graph, d, *_pertinent(d, M, False))
         examined += more
     witness = None
     if found is not None:

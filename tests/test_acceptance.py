@@ -21,6 +21,7 @@ from fbsp.oracle import (classify_pertinence, harmonic_expected_distance,
 from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
 from fbsp.sssp import dijkstra, fb_sssp, replay_trace, spira
 from fbsp.verify import verify_fb, verify_forward_only, verify_full
+from helpers import cost_matrix
 
 LN2 = math.log(2)
 MASTER = 0
@@ -245,7 +246,7 @@ def test_11_apsp_quadratic_scaling():
         totals = {}
         for n in (256, 512):
             model = WeightModel(EXPONENTIAL, seed=seed_derivation(MASTER, n))
-            costs = gen_complete(n, model).cost_matrix()
+            costs = cost_matrix(gen_complete(n, model))
             result = apsp(costs)
             totals[n] = result.total_scans
         ratio = totals[512] / totals[256]

@@ -371,3 +371,11 @@ def test_infinite_costs_exit_1(capsys):
     assert main(["sssp", "--n", "50", "--dist", "weibull",
                  "--shape", "400"]) == 1
     assert "overflows" in capsys.readouterr().err
+
+
+def test_graph_too_large_for_memory_exits_1(capsys):
+    # the adjacency would need hundreds of TiB, beyond any address space,
+    # so the allocation is refused at once
+    assert main(["sssp", "--n", "10000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -8,6 +8,7 @@ from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
                         SortedDigraph, WeightModel, _sort_rows,
                         build_sorted_adjacency, from_cost_matrix,
                         gen_complete, load, save)
+from helpers import cost_matrix
 
 
 def check_invariants(graph: SortedDigraph) -> None:
@@ -67,7 +68,7 @@ def test_invariants_hold_for_all_models(kind, shape):
 
 def test_undirected_costs_are_symmetric():
     g = gen_complete(12, WeightModel(EXPONENTIAL, seed=5), directed=False)
-    m = g.cost_matrix()
+    m = cost_matrix(g)
     assert np.array_equal(m, m.T)
 
 
@@ -203,9 +204,9 @@ def test_cost_matrix_keeps_the_cheapest_parallel_edge():
     g = build_sorted_adjacency(
         [(0, 1, 1.0), (0, 1, 5.0), (1, 2, 1.0), (0, 2, 3.0), (2, 0, 4.0),
          (2, 0, 2.0)], 3)
-    assert g.cost_matrix().tolist() == [[0.0, 1.0, 3.0],
-                                        [math.inf, 0.0, 1.0],
-                                        [2.0, math.inf, 0.0]]
+    assert cost_matrix(g).tolist() == [[0.0, 1.0, 3.0],
+                                      [math.inf, 0.0, 1.0],
+                                      [2.0, math.inf, 0.0]]
 
 
 def adversarial_matrix(n, seed):
@@ -226,8 +227,8 @@ def adversarial_matrix(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 300])
 def test_matrix_graph_matches_edge_list_build(n):
     assert _STRIP == 64
-    weibull = gen_complete(n, WeightModel("weibull", seed=3,
-                                          shape=150)).cost_matrix()
+    weibull = cost_matrix(gen_complete(n, WeightModel("weibull", seed=3,
+                                                      shape=150)))
     np.fill_diagonal(weibull, np.nan)
     assert n < 63 or (weibull == 0.0).sum() > 1  # underflowed ties
     m = adversarial_matrix(n, seed=n)
@@ -366,6 +367,7 @@ def test_load_rejects_unsorted_adjacency(tmp_path):
 
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "hdr.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(GraphError):
-        load(path)
+    for header in ("not a header", "3 5", "3 -1"):
+        path.write_text(header + "\n")
+        with pytest.raises(GraphError):
+            load(path)

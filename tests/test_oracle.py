@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fbsp.graph import EXPONENTIAL, WeightModel, build_sorted_adjacency, gen_complete
-from fbsp.oracle import (classify_pertinence, harmonic_expected_distance,
-                         pertinence_rates, sample_pertinence_counts,
-                         sample_spt, tail_fraction)
-from fbsp.sssp import ShortestPathTree, dijkstra
+from fbsp.graph import (EXPONENTIAL, UNIFORM, WEIBULL, WeightModel,
+                        build_sorted_adjacency, gen_complete)
+from fbsp.oracle import (PertinenceCounts, classify_pertinence,
+                         harmonic_expected_distance, pertinence_rates,
+                         sample_pertinence_counts, sample_spt, tail_fraction)
+from fbsp.sssp import ShortestPathTree, dijkstra, fb_sssp
+from fbsp.verify import VerifyError, select_median
+from helpers import cost_matrix
 
 
 def test_harmonic_examples():
@@ -106,6 +109,112 @@ def test_classify_spt_edges_partition():
         tree = dijkstra(g, 0)
         counts = classify_pertinence(g, tree)
         assert counts.out_spt + counts.in_spt == 79
+        # on these costs each tree edge meets exactly one raw condition
+        d, M, c = tree.dist, select_median(tree.dist), cost_matrix(g)
+        for v in range(1, 80):
+            p = int(tree.parent[v])
+            cost = c[p, v]
+            assert (cost <= 2 * (M - d[p])) != (cost < 2 * (d[v] - M))
+
+
+def reference_classify_pertinence(graph, tree):
+    """Frozen dense classifier: masks every cell of the n*n cost matrix.
+    A tree edge is in-pertinent iff it is not out-pertinent."""
+    d = np.asarray(tree.dist, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("pertinence classification needs a spanning tree")
+    n = graph.n
+    M = select_median(d)
+
+    C = cost_matrix(graph)
+    present = np.isfinite(C)
+    np.fill_diagonal(present, False)
+
+    out_mask = present & (C <= 2.0 * (M - d)[:, None])
+    in_mask = present & (C < 2.0 * (d - M)[None, :])
+
+    if not graph.directed:
+        # one orientation per edge: closer endpoint first (ties by label)
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((np.arange(n), d))] = np.arange(n)
+        closer_first = rank[:, None] < rank[None, :]
+        out_mask &= closer_first
+        in_mask &= closer_first
+
+    spt_mask = np.zeros((n, n), dtype=bool)
+    for v in range(n):
+        p = int(tree.parent[v])
+        if p < 0:
+            continue
+        if graph.directed or d[p] < d[v] or (d[p] == d[v] and p < v):
+            spt_mask[p, v] = True
+        else:
+            spt_mask[v, p] = True
+
+    assert not (out_mask & in_mask).any()
+    out_spt = int((out_mask & spt_mask).sum())
+    return PertinenceCounts(
+        out_spt=out_spt,
+        in_spt=int(spt_mask.sum()) - out_spt,
+        out_non_spt=int(out_mask.sum()) - out_spt,
+        in_non_spt=int((in_mask & ~spt_mask).sum()),
+    )
+
+
+def _trees(g):
+    return dijkstra(g, 0), fb_sssp(g, 0)[0]
+
+
+@pytest.mark.parametrize("kind,shape", [(EXPONENTIAL, None), (UNIFORM, None),
+                                        (WEIBULL, 0.05), (WEIBULL, 3.0),
+                                        (WEIBULL, 150.0)])
+def test_classify_matches_frozen_reference_on_every_model(kind, shape):
+    for directed in (True, False):
+        for n in (1, 2, 3, 17, 200):
+            g = gen_complete(n, WeightModel(kind, seed=n, shape=shape),
+                             directed=directed)
+            for tree in _trees(g):
+                assert (classify_pertinence(g, tree)
+                        == reference_classify_pertinence(g, tree))
+
+
+def test_classify_matches_frozen_reference_on_multigraphs():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        edges = [(0, v, 4.0) for v in range(1, n)]  # every vertex reachable
+        for _ in range(int(rng.integers(0, 4 * n + 1))):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            if u != v:
+                edges.append((u, v, float(rng.integers(0, 3))))
+        g = build_sorted_adjacency(edges, n, directed=bool(trial % 2))
+        for tree in _trees(g):
+            assert (classify_pertinence(g, tree)
+                    == reference_classify_pertinence(g, tree))
+
+
+def test_classify_counts_a_tree_edge_absorbed_at_the_median_as_in_pertinent():
+    # weibull(150) costs such as 4.7e-302 vanish in d[v] = d[p] + c, so a
+    # tree edge at d[p] = d[v] = M meets neither strict bound
+    for directed in (True, False):
+        g = gen_complete(17, WeightModel(WEIBULL, seed=4, shape=150.0),
+                         directed=directed)
+        c = cost_matrix(g)
+        for tree in _trees(g):
+            d, M, p = tree.dist, select_median(tree.dist), tree.parent
+            v = np.arange(1, 17)
+            neither = ((c[p[v], v] > 2 * (M - d[p[v]]))
+                       & (c[p[v], v] >= 2 * (d[v] - M)))
+            assert neither.any()
+            counts = classify_pertinence(g, tree)
+            assert counts.out_spt + counts.in_spt == 16
+
+
+def test_classify_rejects_a_tree_edge_absent_from_the_graph():
+    g = build_sorted_adjacency([(0, 1, 1.0), (1, 2, 1.0)], n=3)
+    tree = ShortestPathTree(0, np.array([-1, 0, 0]), np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(VerifyError, match="not in the graph"):
+        classify_pertinence(g, tree)
 
 
 def test_classify_counts_a_parallel_edge_once_at_its_cheapest_cost():
@@ -152,7 +261,6 @@ def test_pertinence_rates_identities():
             (i + 1) * x[i] for i in range(0, m - 1))
         assert rates.lambda_in == pytest.approx(lam_in_x, abs=1e-9)
         assert rates.lambda_out == pytest.approx(lam_out_x, abs=1e-9)
-        assert rates.y(m, m) == pytest.approx(0.0)
 
 
 def test_sampled_counts_match_graph_classification_in_mean():

@@ -48,6 +48,16 @@ def test_tree_distances_rejects_missing_edge():
         tree_distances(g, [-1, 0, 0], 0)
 
 
+def test_tree_distances_rejects_a_parent_below_minus_one():
+    g = build_sorted_adjacency([(0, 1, 1.0)], n=3)
+    tree = ShortestPathTree(0, np.array([-1, 0, -2]),
+                            np.array([0.0, 1.0, math.inf]))
+    for check in (lambda g, t: tree_distances(g, t.parent, 0), verify_full,
+                  verify_forward_only, verify_fb):
+        with pytest.raises(VerifyError, match="parent of 2 out of range"):
+            check(g, tree)
+
+
 def test_tree_distances_rejects_parented_source():
     g = build_sorted_adjacency([(0, 1, 1.0), (1, 0, 1.0)], n=2)
     with pytest.raises(VerifyError):
