@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import SortedDigraph
-from .verify import _parent_edges, _pertinent, _windows, select_median
+from .verify import _parent_edges, _pertinent_windows, select_median
 
 
 @dataclass
@@ -128,8 +128,7 @@ def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
 
     def pertinent(outgoing: bool) -> np.ndarray:
         """Sorted keys u*n + v of the pairs with an edge in a window."""
-        rows, *window = _pertinent(d, M, outgoing)
-        start, end, _ = _windows(graph, rows, *window)
+        rows, start, end = _pertinent_windows(graph, d, M, outgoing)
         size = end - start
         pos = np.arange(size.sum()) + np.repeat(end - np.cumsum(size), size)
         row = np.repeat(rows, size)

@@ -18,9 +18,9 @@ vectorised row-window scan (:func:`_first_true`): it gathers a short prefix
 of every row at once and widens it, four times at a step, only for the rows
 whose window (or sought parent) lies beyond it.  Counts and witnesses are
 those of a row-by-row scan in vertex order.  The windows of
-:func:`verify_fb` are defined once, in :func:`_pertinent`;
-:func:`fbsp.oracle.classify_pertinence` reads them, and looks up tree edges
-by :func:`_parent_edges`, with the same scan.
+:func:`verify_fb` are defined and found once, in :func:`_pertinent_windows`;
+:func:`fbsp.oracle.classify_pertinence` reads them there, and looks up tree
+edges by :func:`_parent_edges`, the in-list scan of :func:`tree_distances`.
 
 Each also rejects a tree whose reported ``dist`` differs from the distances
 along its own edges.  All three agree on accept/reject for every input.
@@ -241,35 +241,35 @@ def verify_full(graph: SortedDigraph, tree) -> VerifyReport:
 
 def _windows(graph: SortedDigraph, rows: np.ndarray, thr: np.ndarray,
              inclusive: bool, outgoing: bool):
-    """(start, end, stop) of the sorted out-lists (in-lists unless
-    ``outgoing``) of ``rows``: a row is [start, stop) of the flat arrays,
-    its window [start, end) its edges with cost < thr (<= thr when
-    ``inclusive``)."""
+    """(start, end) of the windows of the sorted out-lists (in-lists unless
+    ``outgoing``) of ``rows``: a row's window [start, end) of the flat
+    arrays holds its edges with cost < thr (<= thr when ``inclusive``)."""
     ptr, costs = ((graph.out_ptr, graph.out_w) if outgoing
                   else (graph.in_ptr, graph.in_w))
     start, stop = ptr[rows], ptr[rows + 1]
     past = np.greater if inclusive else np.greater_equal
     end = _first_true(start, stop,
                       lambda s, pos: past(costs[pos], thr[s, None]))
-    return start, end, stop
+    return start, end
 
 
-def _pertinent(d: np.ndarray, M: float, outgoing: bool):
-    """(rows, thr, inclusive, outgoing) of the pertinent windows around the
+def _pertinent_windows(graph: SortedDigraph, d: np.ndarray, M: float,
+                       outgoing: bool):
+    """(rows, start, end) of the pertinent :func:`_windows` around the
     median tree distance M: if ``outgoing``, for every u with d[u] <= M, the
     out-edges with c <= 2(M - d[u]); if not, for every v with d[v] >= M,
     the in-edges with c < 2(d[v] - M)."""
     if outgoing:
         rows = np.flatnonzero(d <= M)
-        return rows, 2.0 * (M - d[rows]), True, True
+        return (rows, *_windows(graph, rows, 2.0 * (M - d[rows]), True, True))
     rows = np.flatnonzero(d >= M)
-    return rows, 2.0 * (d[rows] - M), False, False
+    return (rows, *_windows(graph, rows, 2.0 * (d[rows] - M), False, False))
 
 
 def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
-                  thr: np.ndarray, inclusive: bool, outgoing: bool):
-    """Row-window scan of the :func:`_windows` of ``rows``, as a row-by-row
-    scan in row order would read them.
+                  start: np.ndarray, end: np.ndarray, outgoing: bool):
+    """Row-window scan of the :func:`_windows` [start, end) of ``rows``, as
+    a row-by-row scan in row order would read them.
 
     A window is read with the terminator edge after it, if the row has one;
     violations are looked for in the window.  Returns the edges read by the
@@ -279,7 +279,7 @@ def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
     """
     ends, costs = ((graph.out_to, graph.out_w) if outgoing
                    else (graph.in_from, graph.in_w))
-    start, end, stop = _windows(graph, rows, thr, inclusive, outgoing)
+    stop = (graph.out_ptr if outgoing else graph.in_ptr)[rows + 1]
     read = np.minimum(end + 1, stop)
     d_row = d[rows]
 
@@ -310,8 +310,8 @@ def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
     rows = np.flatnonzero(np.isfinite(d))  # c >= d[v] - inf holds for free
     # the terminator, c >= D - d[u] >= d[v] - d[u] after rounding, never
     # violates, so only the window is checked
-    examined, found = _scan_windows(graph, d, rows, D - d[rows],
-                                    inclusive=False, outgoing=True)
+    start, end = _windows(graph, rows, D - d[rows], False, outgoing=True)
+    examined, found = _scan_windows(graph, d, rows, start, end, outgoing=True)
     witness = None
     if found is not None:
         witness, upto, _ = found
@@ -321,18 +321,20 @@ def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
 
 def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
     """Check only the pertinent edges around the median tree distance M
-    (:func:`_pertinent`): the out-windows, then, if they hold no violation,
-    the in-windows.  Each phase reads (and counts) at most one terminator
-    edge per vertex beyond its window.
+    (:func:`_pertinent_windows`): the out-windows, then, if they hold no
+    violation, the in-windows.  Each phase reads (and counts) at most one
+    terminator edge per vertex beyond its window.
     """
     d = tree_distances(graph, tree.parent, tree.source)
     if not np.all(np.isfinite(d)):
         raise VerifyError("tree does not span the graph; median undefined")
     D = float(d.max())
     M = select_median(d)
-    examined, found = _scan_windows(graph, d, *_pertinent(d, M, True))
+    out = _pertinent_windows(graph, d, M, outgoing=True)
+    examined, found = _scan_windows(graph, d, *out, outgoing=True)
     if found is None:
-        more, found = _scan_windows(graph, d, *_pertinent(d, M, False))
+        into = _pertinent_windows(graph, d, M, outgoing=False)
+        more, found = _scan_windows(graph, d, *into, outgoing=False)
         examined += more
     witness = None
     if found is not None:

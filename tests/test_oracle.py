@@ -206,8 +206,10 @@ def test_classify_counts_a_tree_edge_absorbed_at_the_median_as_in_pertinent():
             neither = ((c[p[v], v] > 2 * (M - d[p[v]]))
                        & (c[p[v], v] >= 2 * (d[v] - M)))
             assert neither.any()
+            out = int((c[p[v], v] <= 2 * (M - d[p[v]])).sum())
             counts = classify_pertinence(g, tree)
-            assert counts.out_spt + counts.in_spt == 16
+            assert (counts.out_spt, counts.in_spt) == (out, 16 - out)
+            assert counts == reference_classify_pertinence(g, tree)
 
 
 def test_classify_rejects_a_tree_edge_absent_from_the_graph():
