@@ -222,8 +222,10 @@ _SSSP_CSV = (["trial", "seed", "algo", "n", "model", "shape", "directed",
 def _cmd_gen(args) -> int:
     _, make = _graphs(args)
     g, _ = make(0)
-    save(g, _out_path(args.out))
-    print(f"wrote {g!r} to {args.out}")
+    buf, path = io.BytesIO(), _out_path(args.out)
+    save(g, buf)
+    _atomic_write(path, buf.getbuffer())
+    print(f"wrote {g!r} to {path}")
     return 0
 
 

@@ -4,8 +4,8 @@ A :class:`SortedDigraph` stores, for every vertex, the outgoing and the
 incoming edges sorted in non-decreasing order of cost.  Complete graphs come
 from a random weight model (:func:`gen_complete`) or from a dense cost matrix
 (:func:`from_cost_matrix`); both go through one row-sort builder.  Any other
-graph is built from an explicit edge list (:func:`build_sorted_adjacency`),
-and can be saved to and loaded from a plain text format.
+graph is built from an explicit edge list (:func:`build_sorted_adjacency`).
+A graph file is an ``.npz`` of the out-CSR arrays, rebuilt by that builder.
 
 Random edge costs are derived from a counter-based PRNG: the cost of edge
 (u, v) is a pure function of (seed, u, v), so generation is reproducible and
@@ -16,6 +16,7 @@ cost matrix symmetric by construction.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -321,20 +322,28 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
                            directed: bool = True) -> SortedDigraph:
     """Build a :class:`SortedDigraph` from explicit (u, v, cost) edges.
 
-    Costs must be finite and non-negative, endpoints in [0, n) and distinct.
-    Each list is sorted by cost, ties by the other endpoint; repeated pairs
-    are kept as separate edges.  If ``directed`` is false, each (u, v, cost)
-    is one undirected edge, held as u -> v and v -> u, and the in-lists are
-    the out-lists.
+    Costs must be finite and non-negative, endpoints integers in [0, n) and
+    distinct.  Each list is sorted by cost, ties by the other endpoint;
+    repeated pairs are kept as separate edges.  If ``directed`` is false,
+    each (u, v, cost) is one undirected edge, held as u -> v and v -> u, and
+    the in-lists are the out-lists.
     """
+    edges = list(edges)
+    src, dst = (np.array([e[i] for e in edges],
+                         dtype=None if edges else np.int64) for i in (0, 1))
+    w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
+    return _from_edge_arrays(n, directed, src, dst, w)
+
+
+def _from_edge_arrays(n: int, directed: bool, src: np.ndarray,
+                      dst: np.ndarray, w: np.ndarray) -> SortedDigraph:
+    """:func:`build_sorted_adjacency` of the edges src[i] -> dst[i] of
+    float64 cost w[i], with the same checks."""
     if n < 1:
         raise GraphError("graph must have at least one vertex")
-    edges = list(edges)
-    m = len(edges)
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-    w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=m)
-    if m:
+    if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
+        raise GraphError("edge endpoints must be integers")
+    if src.size:
         if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
             raise GraphError("edge endpoint out of range")
         if np.any(src == dst):
@@ -345,71 +354,59 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         w = np.concatenate((w, w))
 
-    def _csr(key_src, key_dst, key_w):
-        order = np.lexsort((key_dst, key_w))
-        s, d, ww = key_src[order], key_dst[order], key_w[order]
-        by_vertex = np.argsort(s, kind="stable")  # stable: keeps cost order
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(s, minlength=n), out=ptr[1:])
-        return ptr, d[by_vertex].astype(np.int32), ww[by_vertex]
+    def _csr(key_src, key_dst):
+        order = np.lexsort((key_dst, w, key_src))
+        ptr = np.searchsorted(key_src[order], np.arange(n + 1))
+        return ptr, key_dst[order].astype(np.int32), w[order]
 
-    out = _csr(src, dst, w)
-    in_ = _csr(dst, src, w) if directed else out
+    out = _csr(src, dst)
+    in_ = _csr(dst, src) if directed else out
     return SortedDigraph(n, directed, *out, *in_)
 
 
-def save(graph: SortedDigraph, path) -> None:
-    """Write a graph as text: header ``n directed`` then one ``u v cost`` line
-    per edge (undirected graphs store each edge once, as its u < v copy)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{graph.n} {int(graph.directed)}\n")
-        for u in range(graph.n):
-            to, w = graph.out_edges(u)
-            for v, c in zip(to.tolist(), w.tolist()):
-                if graph.directed or u < v:
-                    fh.write(f"{u} {v} {c!r}\n")
+def save(graph: SortedDigraph, file) -> None:
+    """Write a graph to ``file``, a path or a binary file object, as an
+    uncompressed ``.npz`` of its ``n``, ``directed`` and out-CSR arrays
+    ``ptr``, ``to`` and ``w``, which hold an undirected edge both ways."""
+    if not hasattr(file, "write"):
+        with open(file, "wb") as fh:  # np.savez would append ".npz" to a path
+            return save(graph, fh)
+    np.savez(file, n=np.int64(graph.n), directed=np.bool_(graph.directed),
+             ptr=graph.out_ptr, to=graph.out_to, w=graph.out_w)
 
 
 def load(path) -> SortedDigraph:
-    """Load a graph saved by :func:`save`, validating and re-sorting it.
-
-    Rejects malformed headers, out-of-range endpoints, costs that are
-    negative or not finite, and files whose per-vertex edge sequences are
-    not in non-decreasing cost order (i.e. files not produced by
-    :func:`save`).
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise GraphError("malformed graph header")
-        try:
-            n = int(header[0])
-            directed = {"0": False, "1": True}[header[1]]
-        except (ValueError, KeyError) as exc:
-            raise GraphError("malformed graph header") from exc
-        if n < 1:
-            raise GraphError("graph must have at least one vertex")
-
-        edges = []
-        last_cost = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise GraphError(f"malformed edge on line {lineno}")
-            try:
-                u, v, c = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise GraphError(f"malformed edge on line {lineno}") from exc
-            if not 0.0 <= c < np.inf:
-                raise GraphError(f"edge cost {parts[2]} on line {lineno} is "
-                                 "not finite and non-negative")
-            if c < last_cost.get(u, 0.0):
-                raise GraphError(
-                    f"adjacency of vertex {u} not sorted (line {lineno})")
-            last_cost[u] = c
-            edges.append((u, v, c))
-
-    return build_sorted_adjacency(edges, n, directed=directed)
-
+    """Load a graph that :func:`save` wrote to the file at ``path``, and
+    raise :class:`GraphError` on any other file.  The edges (of an
+    undirected graph, the u < v half) go through the checks and the sort of
+    :func:`build_sorted_adjacency`, which must give back the file's own
+    arrays: rows sorted by (cost, vertex), undirected edges both ways."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    # an .npy file loads as an array, which is no context manager (TypeError)
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise GraphError("not a graph file (an .npz archive)") from exc
+    n, directed, ptr, to, w = (np.asarray(arrays.pop(k, None))
+                               for k in ("n", "directed", "ptr", "to", "w"))
+    if (arrays or n.shape or n.dtype.kind not in "iu" or n < 1
+            or directed.shape or directed.dtype != np.bool_
+            or ptr.dtype != np.int64 or ptr.shape != (n + 1,) or ptr[0] != 0
+            or np.any(np.diff(ptr) < 0) or to.dtype.kind not in "iu"
+            or to.shape != (ptr[-1],) or w.shape != (ptr[-1],)
+            or w.dtype != np.float64):
+        raise GraphError(
+            "malformed graph file: it holds exactly n (a positive integer), "
+            "directed (a bool), ptr (n + 1 int64 offsets rising from 0 to the "
+            "length of to and w), to (integers) and w (float64)")
+    src = np.repeat(np.arange(n), np.diff(ptr))
+    keep = slice(None) if directed else src < to
+    graph = _from_edge_arrays(int(n), bool(directed), src[keep], to[keep],
+                              w[keep])
+    for u in range(graph.n):
+        if not all(np.array_equal(got, want[ptr[u]:ptr[u + 1]])
+                   for got, want in zip(graph.out_edges(u), (to, w))):
+            raise GraphError(f"row {u} of the graph file is not sorted by "
+                             "(cost, vertex), or lacks an undirected edge's "
+                             "reverse")
+    return graph

@@ -139,10 +139,13 @@ def test_non_integer_count_names_no_private_helper(capsys):
     assert "_positive_int" not in err
 
 
-def test_output_dir_env(tmp_path, monkeypatch):
+def test_output_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FBSP_OUT_DIR", str(tmp_path))
     assert main(["gen", "--n", "8", "--seed", "1", "--out", "sub.txt"]) == 0
     assert (tmp_path / "sub.txt").exists()
+    # the path written, with no temp file left beside it
+    assert capsys.readouterr().out.endswith(f" to {tmp_path / 'sub.txt'}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub.txt"]
 
 
 def test_end_to_end_determinism(tmp_path):
@@ -294,6 +297,17 @@ def test_graph_run_echoes_the_file(tmp_path):
     config = json.loads(j.read_text())["config"]
     assert (config["n"], config["dist"], config["directed"]) == \
         (12, None, False)
+
+
+def test_graph_that_is_no_graph_file_exits_1(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    assert main(["gen", "--n", "8", "--out", str(gfile)]) == 0
+    archive = gfile.read_bytes()
+    for data in (b"8 1\n0 1 0.5\n", archive[:len(archive) // 2]):
+        gfile.write_bytes(data)  # the old text format, a truncated archive
+        capsys.readouterr()
+        assert main(["sssp", "--graph", str(gfile)]) == 1
+        assert capsys.readouterr().err.startswith("error: not a graph file")
 
 
 def test_graph_with_model_flags_or_other_n_exits_1(tmp_path, capsys):

@@ -1,5 +1,5 @@
+import io
 import math
-import re
 
 import numpy as np
 import pytest
@@ -305,6 +305,9 @@ def test_build_tie_break_by_index():
 def test_build_rejects_bad_edges():
     with pytest.raises(GraphError):
         build_sorted_adjacency([(0, 5, 1.0)], n=3)
+    for edge in ((0.5, 1, 1.0), (0, 1.0, 1.0), ("0", 1, 1.0)):
+        with pytest.raises(GraphError, match="endpoints must be integers"):
+            build_sorted_adjacency([edge], n=3)
     with pytest.raises(GraphError):
         build_sorted_adjacency([(0, 1, -0.5)], n=3)
     with pytest.raises(GraphError):
@@ -316,7 +319,7 @@ def test_build_rejects_bad_edges():
 def test_save_load_round_trip(tmp_path):
     for directed in (True, False):
         g = gen_complete(50, WeightModel(EXPONENTIAL, seed=9), directed=directed)
-        path = tmp_path / f"g{int(directed)}.txt"
+        path = tmp_path / f"g{int(directed)}.npz"
         save(g, path)
         assert load(path) == g
 
@@ -327,7 +330,7 @@ def test_save_load_round_trip(tmp_path):
 def test_undirected_edge_list_round_trip(edges, tmp_path):
     g = build_sorted_adjacency(edges, 3, directed=False)
     assert g.num_edges == 2 * len(edges)
-    path = tmp_path / "g.txt"
+    path = tmp_path / "g.npz"
     save(g, path)
     assert load(path) == g
 
@@ -336,7 +339,7 @@ def test_undirected_graph_stores_one_adjacency(tmp_path):
     edges = [(0, 1, 2.0), (2, 1, 1.0), (0, 2, 1.0)]
     for directed in (True, False):
         complete = gen_complete(20, WeightModel(EXPONENTIAL, seed=2), directed)
-        path = tmp_path / f"g{int(directed)}.txt"
+        path = tmp_path / f"g{int(directed)}.npz"
         save(complete, path)
         for g in (complete, build_sorted_adjacency(edges, 3, directed),
                   load(path)):
@@ -345,29 +348,117 @@ def test_undirected_graph_stores_one_adjacency(tmp_path):
             assert np.shares_memory(g.out_to, g.in_from) == (not directed)
 
 
+def saved_arrays(graph):
+    """The arrays that :func:`save` writes for ``graph``, by name."""
+    buf = io.BytesIO()
+    save(graph, buf)
+    buf.seek(0)
+    with np.load(buf) as archive:
+        return {k: archive[k] for k in archive.files}
+
+
+# 0 -> 1 and 0 -> 2 in row 0, then 1 -> 2 and 2 -> 0
+_DIRECTED = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.5), (2, 0, 3.0)]
+
+
+def load_changed(tmp_path, changes, edges=_DIRECTED, directed=True):
+    """load() of the file of build_sorted_adjacency(edges, 3, directed) with
+    the arrays in ``changes`` replaced; an array replaced by None is left
+    out."""
+    arrays = saved_arrays(build_sorted_adjacency(edges, 3, directed))
+    arrays.update(changes)
+    path = tmp_path / "g.npz"
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return load(path)
+
+
 def test_load_rejects_negative_cost(tmp_path):
-    # a bad cost after a good one is named as such, not as an unsorted list
-    path = tmp_path / "bad.txt"
-    for text, message in (("2 1\n0 1 -1.0\n", "edge cost -1.0 on line 2"),
-                          ("2 0\n0 1 nan\n", "edge cost nan on line 2"),
-                          ("3 1\n0 1 2.0\n0 2 -1.0\n",
-                           "edge cost -1.0 on line 3")):
-        path.write_text(text)
-        with pytest.raises(GraphError, match=re.escape(
-                message + " is not finite and non-negative")):
-            load(path)
+    for cost in (-1.0, float("nan"), float("inf")):
+        for i in (0, 1):
+            w = np.array([1.0, 2.0, 0.5, 3.0])
+            w[i] = cost
+            with pytest.raises(GraphError,
+                               match="edge costs must be finite and non-"):
+                load_changed(tmp_path, {"w": w})
 
 
 def test_load_rejects_unsorted_adjacency(tmp_path):
-    path = tmp_path / "unsorted.txt"
-    path.write_text("3 1\n0 1 2.0\n0 2 1.0\n")
-    with pytest.raises(GraphError):
-        load(path)
+    with pytest.raises(GraphError, match="row 0 of the graph file"):
+        load_changed(tmp_path, {"to": np.array([2, 1, 2, 0], np.int32),
+                                "w": np.array([2.0, 1.0, 0.5, 3.0])})
+    # a tie out of vertex order
+    with pytest.raises(GraphError, match="row 0 of the graph file"):
+        load_changed(tmp_path, {"to": np.array([2, 1, 2, 0], np.int32),
+                                "w": np.array([1.0, 1.0, 0.5, 3.0])})
 
 
 def test_load_rejects_malformed_header(tmp_path):
-    path = tmp_path / "hdr.txt"
-    for header in ("not a header", "3 5", "3 -1"):
-        path.write_text(header + "\n")
+    for changes in ({"n": np.int64(0)}, {"n": np.int64(-1)},
+                    {"n": np.int64(4)}, {"n": np.float64(3.0)},
+                    {"n": np.array([3])}, {"directed": np.int64(1)},
+                    {"directed": np.array("yes")},
+                    {"directed": np.array([True])}, {"w": None}, {"n": None},
+                    {"extra": np.zeros(2)}):
         with pytest.raises(GraphError):
+            load_changed(tmp_path, changes)
+
+
+def test_load_rejects_a_bad_ptr(tmp_path):
+    for ptr in ([0, 2, 1, 4], [0, 2, 3], [0, 2, 3, 4, 4], [1, 2, 3, 4],
+                [0, 2, 3, 3], [0, 2, 3, 5], [0.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(GraphError, match="malformed graph file"):
+            load_changed(tmp_path, {"ptr": np.array(ptr)})
+
+
+def test_load_rejects_bad_endpoints(tmp_path):
+    for to, message in (([1, 3, 2, 0], "out of range"),
+                        ([-1, 2, 2, 0], "out of range"),
+                        ([0, 2, 2, 0], "self-loops"),
+                        ([1.0, 2.0, 2.0, 0.0], "integer"),
+                        (["1", "2", "2", "0"], "integer")):
+        with pytest.raises(GraphError, match=message):
+            load_changed(tmp_path, {"to": np.array(to)})
+
+
+def test_load_rejects_an_asymmetric_undirected_file(tmp_path):
+    # rows 0: 1; 1: 0, 2; 2: 1, each at the cost of its pair
+    edges = [(0, 1, 1.0), (1, 2, 2.0)]
+    for changes, row in (({"w": np.array([1.0, 1.0, 2.0, 5.0])}, 2),
+                         ({"w": np.array([1.0, 1.5, 2.0, 2.0])}, 1),
+                         ({"ptr": np.array([0, 1, 3, 3]),
+                           "to": np.array([1, 0, 2], np.int32),
+                           "w": np.array([1.0, 1.0, 2.0])}, 2),
+                         ({"to": np.array([1, 0, 2, 2], np.int32)}, 2)):
+        with pytest.raises(GraphError, match=f"row {row} of the graph file"):
+            load_changed(tmp_path, changes, edges, directed=False)
+
+
+def test_load_rejects_files_that_are_no_graph_archive(tmp_path):
+    path = tmp_path / "g.npz"
+    buf = io.BytesIO()
+    save(build_sorted_adjacency(_DIRECTED, 3), buf)
+    archive = buf.getvalue()
+    np.save(tmp_path / "a.npy", np.arange(3))
+    for data in (b"3 1\n0 1 2.0\n0 2 1.0\n",  # the old text format
+                 archive[:len(archive) // 2], archive[:-1], b"",
+                 (tmp_path / "a.npy").read_bytes()):
+        path.write_bytes(data)
+        with pytest.raises(GraphError, match="not a graph file"):
             load(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 200])
+def test_save_load_round_trip_at_every_size(n, tmp_path):
+    path = tmp_path / "g.npz"
+    for directed in (True, False):
+        g = gen_complete(n, WeightModel(EXPONENTIAL, seed=n), directed)
+        buf = io.BytesIO()
+        save(g, buf)
+        path.write_bytes(buf.getvalue())
+        assert load(path) == g
+    # a directed multigraph with isolated vertices, saved to a path that
+    # np.savez would give an ".npz" suffix
+    g = build_sorted_adjacency([(0, 1, 1.0), (0, 1, 1.0), (3, 0, 0.0)], n + 4)
+    path = tmp_path / "g.txt"
+    save(g, path)
+    assert load(path) == g

@@ -14,3 +14,21 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_np_load_refuses_pickles():
+    # a graph file comes from outside the program, and unpickling it could
+    # run any code
+    calls = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "load"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert calls
+    unsafe = [f"{name}:{node.lineno}" for name, node in calls
+              if not any(k.arg == "allow_pickle"
+                         and isinstance(k.value, ast.Constant)
+                         and k.value.value is False for k in node.keywords)]
+    assert unsafe == []
