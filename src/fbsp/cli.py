@@ -20,6 +20,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -77,10 +78,17 @@ def _out_path(path: Optional[str]) -> Optional[str]:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file next to ``path``, then rename it onto
+    ``path``; if either step fails, the temp file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -241,6 +249,7 @@ def _cmd_sssp(args) -> int:
                      "algo": args.algo, "n": echo["n"], "model": echo["dist"],
                      "shape": echo["shape"], "directed": echo["directed"],
                      "pq": pq, "source": args.source, "wall_time_ns": ns,
+                     "graph_completed": graph.completed,
                      **(stats.as_dict() if stats else
                         dict.fromkeys(_SSSP_STATS))})
         print(f"trial {t}: " + (f"scans={stats.total_scans} "

@@ -5,20 +5,38 @@ incoming edges sorted in non-decreasing order of cost.  Complete graphs come
 from a random weight model (:func:`gen_complete`) or from a dense cost matrix
 (:func:`from_cost_matrix`); both go through one row-sort builder.  Any other
 graph is built from an explicit edge list (:func:`build_sorted_adjacency`).
-A graph file is an ``.npz`` of the out-CSR arrays, rebuilt by that builder.
+A graph file is an ``.npz`` of the out-CSR arrays (:func:`save`,
+:func:`load`).
 
 Random edge costs are derived from a counter-based PRNG: the cost of edge
 (u, v) is a pure function of (seed, u, v), so generation is reproducible and
 independent of the order in which edges are materialized.  Undirected graphs
 key both orientations of a pair on (min(u, v), max(u, v)), which makes the
 cost matrix symmetric by construction.
+
+A search or a fast verifier reads only a few entries at the head of most
+rows, so :func:`gen_complete` holds only a prefix of each row: its first
+K = min(n - 1, ceil(8 (ln n)^p)) entries, p = 1 but for Weibull shapes
+below 1 (:func:`_prefix_length`), or the whole row where the K-th and the
+(K+1)-th costs tie.  Such a graph costs O(n^2) hashes but only O(n K)
+memory and sorting.  The readers of the row heads (the search loop of
+:mod:`fbsp.sssp`, the windows of :mod:`fbsp.verify` and
+:mod:`fbsp.oracle`) read :meth:`SortedDigraph.rows`; one that would read
+past the end of an incomplete row raises :class:`RowOverflow`, and
+:func:`restarts` completes the graph and makes the call again.  Completing
+runs the dense builder, which pays for all n(n - 1) sorted entries.  The
+CSR arrays (``out_ptr``, ``out_to``, ...), ``out_edges``/``in_edges``,
+``==`` and :func:`save` complete the graph first, so ``dijkstra``,
+``verify_full`` and every array reader see the dense graph, byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import zipfile
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +95,40 @@ def _stream_offset(seed: int) -> np.uint64:
     return z[0]
 
 
+class Rows(NamedTuple):
+    """One direction of a graph's adjacency: row u is ``ends[ptr[u]:ptr[u +
+    1]]`` with costs ``costs[...]``, sorted by (cost, vertex); it holds all
+    of u's edges if ``complete[u]``, else only the first of them."""
+
+    ptr: np.ndarray
+    ends: np.ndarray
+    costs: np.ndarray
+    complete: np.ndarray
+
+
+class RowOverflow(Exception):
+    """A read went past the end of an incomplete row."""
+
+
+def restarts(read):
+    """Decorate ``read(graph, ...)``, a reader of ``graph.rows()``: if it
+    raises :class:`RowOverflow`, the graph is completed and the call made
+    again, so its result is the one it gives on the complete graph."""
+    @functools.wraps(read)
+    def run(graph, *args, **kwargs):
+        try:
+            return read(graph, *args, **kwargs)
+        except RowOverflow:
+            pass  # leave the handler first: its traceback holds the reader
+        graph.complete()
+        return read(graph, *args, **kwargs)
+    return run
+
+
+def _csr(outgoing: bool, field: int, doc: str) -> property:
+    return property(lambda g: g.complete().rows(outgoing)[field], doc=doc)
+
+
 class SortedDigraph:
     """Immutable weighted digraph with cost-sorted adjacency, both directions.
 
@@ -86,45 +138,78 @@ class SortedDigraph:
     (cost, source).  Both views describe the same edge multiset.  An
     undirected graph holds each edge in both directions, so its in-lists
     equal its out-lists, and its in-arrays are its out-arrays.
+
+    A graph from :func:`gen_complete` may hold row prefixes only
+    (:meth:`rows`); reading the CSR arrays completes it.
     """
 
-    __slots__ = ("n", "directed", "out_ptr", "out_to", "out_w",
-                 "in_ptr", "in_from", "in_w")
+    __slots__ = ("n", "directed", "num_edges", "_out", "_in", "_dense")
 
     def __init__(self, n, directed, out_ptr, out_to, out_w, in_ptr, in_from, in_w):
         self.n = int(n)
         self.directed = bool(directed)
-        self.out_ptr = out_ptr
-        self.out_to = out_to
-        self.out_w = out_w
-        self.in_ptr = in_ptr
-        self.in_from = in_from
-        self.in_w = in_w
+        self.num_edges = int(out_to.shape[0])
+        every = np.ones(self.n, dtype=bool)
+        self._out = Rows(out_ptr, out_to, out_w, every)
+        self._in = Rows(in_ptr, in_from, in_w, every)
+        self._dense = None  # builds the complete rows of a prefix graph
+
+    @classmethod
+    def _prefixes(cls, n: int, directed: bool, out: Rows, into: Rows,
+                  dense) -> "SortedDigraph":
+        """The complete graph on ``n`` vertices held as the row prefixes
+        ``out`` and ``into``; ``dense()`` builds it whole."""
+        graph = cls.__new__(cls)
+        graph.n, graph.directed, graph.num_edges = n, directed, n * (n - 1)
+        graph._out, graph._in, graph._dense = out, into, dense
+        return graph
+
+    def rows(self, outgoing: bool = True) -> Rows:
+        """The out-rows, or the in-rows, as the graph holds them now."""
+        if self._out is None:  # a completion failed after the prefixes went
+            self.complete()
+        return self._out if outgoing else self._in
 
     @property
-    def num_edges(self) -> int:
-        return int(self.out_to.shape[0])
+    def completed(self) -> bool:
+        """Whether every row is held whole."""
+        return self._dense is None
+
+    def complete(self) -> "SortedDigraph":
+        """Hold every row whole, from the dense builder, and drop the
+        prefixes; returns the graph."""
+        if self._dense is not None:
+            self._out = self._in = None  # free the prefixes for the build
+            dense = self._dense()  # if this raises, the next read retries
+            self._out, self._in, self._dense = dense._out, dense._in, None
+        return self
+
+    out_ptr = _csr(True, 0, "Row offsets of the out-lists (n + 1).")
+    out_to = _csr(True, 1, "Targets of the out-lists, row after row.")
+    out_w = _csr(True, 2, "Costs of the out-lists, row after row.")
+    in_ptr = _csr(False, 0, "Row offsets of the in-lists (n + 1).")
+    in_from = _csr(False, 1, "Sources of the in-lists, row after row.")
+    in_w = _csr(False, 2, "Costs of the in-lists, row after row.")
 
     def out_edges(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
         """(targets, costs) of u's outgoing edges, non-decreasing cost."""
-        lo, hi = self.out_ptr[u], self.out_ptr[u + 1]
-        return self.out_to[lo:hi], self.out_w[lo:hi]
+        ptr, to, w, _ = self.complete()._out
+        lo, hi = ptr[u], ptr[u + 1]
+        return to[lo:hi], w[lo:hi]
 
     def in_edges(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """(sources, costs) of v's incoming edges, non-decreasing cost."""
-        lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
-        return self.in_from[lo:hi], self.in_w[lo:hi]
+        ptr, frm, w, _ = self.complete()._in
+        lo, hi = ptr[v], ptr[v + 1]
+        return frm[lo:hi], w[lo:hi]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SortedDigraph):
             return NotImplemented
         return (self.n == other.n and self.directed == other.directed
-                and np.array_equal(self.out_ptr, other.out_ptr)
-                and np.array_equal(self.out_to, other.out_to)
-                and np.array_equal(self.out_w, other.out_w)
-                and np.array_equal(self.in_ptr, other.in_ptr)
-                and np.array_equal(self.in_from, other.in_from)
-                and np.array_equal(self.in_w, other.in_w))
+                and all(np.array_equal(a, b) for outgoing in (True, False)
+                        for a, b in zip(self.complete().rows(outgoing)[:3],
+                                        other.complete().rows(outgoing)[:3])))
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -134,11 +219,15 @@ class SortedDigraph:
 _NOT_FINITE = "an edge cost overflows float64; use a smaller shape"
 
 # Generation hashes and sorts blocks of about this many cost cells: small
-# enough for the block's temporaries to stay in cache.
-_BLOCK_CELLS = 2 ** 14
+# enough for the block's temporaries to stay in cache, and large enough
+# that a block's numpy calls cost little next to its work.
+_BLOCK_CELLS = 2 ** 15
 # A directed graph's in-lists are cut from strips of this many out-list
 # columns, transposed.
 _STRIP = 64
+# gen_complete holds the first ceil(_PREFIX_LOGS * (ln n)^p) entries of a
+# row (see _prefix_length); any positive value gives the same results.
+_PREFIX_LOGS = 8.0
 
 
 def _row_blocks(n: int):
@@ -150,16 +239,21 @@ def _row_blocks(n: int):
 
 
 def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
-                 offset: np.uint64, out: np.ndarray) -> None:
-    """Costs of rows r0..r1-1 of the n*n cost matrix into the flat ``out``,
-    diagonal included: the edge (u, v) has counter u*n + v, or min*n + max
-    when undirected."""
-    if directed:
-        z = np.arange(r0 * n, r1 * n, dtype=np.uint64)
-    else:
+                 offset: np.uint64, out: np.ndarray,
+                 columns: bool = False) -> None:
+    """Costs of rows r0..r1-1 of the n*n cost matrix, or of its columns
+    r0..r1-1 if ``columns``, into the flat ``out``, diagonal included: the
+    edge (u, v) has counter u*n + v, or min*n + max when undirected.
+    Raises :class:`GraphError` if a cost off the diagonal is not finite."""
+    if not directed:  # symmetric: column r is row r
         u = np.arange(r0, r1, dtype=np.uint64)[:, None]
         v = np.arange(n, dtype=np.uint64)
         z = (np.minimum(u, v) * np.uint64(n) + np.maximum(u, v)).ravel()
+    elif columns:
+        z = (np.arange(r0, r1, dtype=np.uint64)[:, None]
+             + np.arange(0, n * n, n, dtype=np.uint64)).ravel()
+    else:
+        z = np.arange(r0 * n, r1 * n, dtype=np.uint64)
     z *= _GOLDEN
     z += offset
     _mix64(z)
@@ -172,8 +266,12 @@ def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
     np.log1p(out, out=out)
     np.negative(out, out=out)  # Exp(1), never -0.0
     if model.kind == WEIBULL:
-        with np.errstate(over="ignore"):  # an infinite cost is rejected later
+        with np.errstate(over="ignore"):
             out **= model.shape
+        bad = np.isinf(out)
+        bad[r0::n + 1] = False  # the diagonal is no edge
+        if bad.any():
+            raise GraphError(_NOT_FINITE)
 
 
 def _off_diagonal(full: np.ndarray, r0: int, n: int, rows: np.ndarray):
@@ -188,33 +286,124 @@ def _off_diagonal(full: np.ndarray, r0: int, n: int, rows: np.ndarray):
             (full[r0 + mid + h:], rows[r0 + mid:]))
 
 
+def _row_keys(w: np.ndarray, keys: np.ndarray) -> np.uint64:
+    """Each cell's sort key into ``keys``, uint64 of the shape of the cost
+    rows ``w``, and return the vertex mask: non-negative doubles other than
+    -0.0 order like their bit patterns, so a key is its cost's bits with
+    the low bits (the mask) replaced by its vertex."""
+    n = w.shape[1]
+    vertex_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    np.bitwise_and(w.view(np.uint64), ~vertex_mask, out=keys)
+    keys |= np.arange(n, dtype=np.uint64)
+    return vertex_mask
+
+
 def _sort_rows(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
                costs: np.ndarray) -> None:
     """Sort each full cost row of ``w``, +inf on the diagonal, by (cost,
     vertex) into the views ``ends`` and ``costs``, which leave the diagonal
     out.  ``keys`` is uint64 scratch of w's shape.
 
-    Non-negative doubles other than -0.0 order like their bit patterns, so
-    each cell's key is its cost's bits with the low bits replaced by its
-    vertex; one sort of the keys orders a row by (truncated cost, vertex).
-    A row whose costs then are not strictly increasing holds a tie, or two
-    costs that differ only in the dropped bits, and is re-sorted stably.
+    One sort of the :func:`_row_keys` orders a row by (truncated cost,
+    vertex).  A row whose costs then are not strictly increasing holds a
+    tie, or two costs that differ only in the dropped bits, and is re-sorted
+    stably.
     """
     h, n = w.shape
-    vertex_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
-    np.bitwise_and(w.view(np.uint64), ~vertex_mask, out=keys)
-    keys |= np.arange(n, dtype=np.uint64)
+    vertex_mask = _row_keys(w, keys)
     keys.sort(axis=1)
     keys &= vertex_mask
     ends[:] = keys[:, :-1]  # the diagonal sorts last
     keys += np.arange(0, h * n, n, dtype=np.uint64)[:, None]
     np.take(w.ravel(), keys.view(np.int64)[:, :-1], out=costs, mode="clip")
-    if not np.isfinite(costs[:, -1:]).all():  # the largest cost of each row
-        raise GraphError(_NOT_FINITE)
     for i in np.flatnonzero((costs[:, 1:] <= costs[:, :-1]).any(axis=1)):
         order = np.argsort(w[i], kind="stable")[:-1]
         ends[i] = order
         costs[i] = w[i, order]
+
+
+def _sort_prefixes(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
+                   costs: np.ndarray) -> np.ndarray:
+    """Sort the first k entries of each full cost row of ``w``, +inf on the
+    diagonal, by (cost, vertex) into the (h, k) arrays ``ends`` and
+    ``costs``; ``keys`` is uint64 scratch of w's shape.  Returns the rows
+    whose k-th and (k+1)-th entries may tie, whose heads are not known.
+
+    A partition of the :func:`_row_keys` at k puts the k + 1 smallest keys
+    first; the k smallest are sorted and their costs gathered, and a head
+    whose costs then are not strictly increasing is re-sorted stably.
+    """
+    k = ends.shape[1]
+    vertex_mask = _row_keys(w, keys)
+    keys.partition(k, axis=1)
+    head = keys[:, :k]
+    head.sort(axis=1)
+    head &= vertex_mask
+    ends[:] = head
+    head += np.arange(0, w.size, w.shape[1], dtype=np.uint64)[:, None]
+    np.take(w.ravel(), head.view(np.int64), out=costs, mode="clip")
+    for i in np.flatnonzero((costs[:, 1:] <= costs[:, :-1]).any(axis=1)):
+        v = np.sort(ends[i])
+        order = np.argsort(w[i, v], kind="stable")
+        ends[i] = v[order]
+        costs[i] = w[i, v[order]]
+    # a cell past the head has a key of at least the (k+1)-th, so a cost of
+    # at least that key with its vertex bits cleared
+    floor = (keys[:, k] & ~vertex_mask).view(np.float64)
+    return np.flatnonzero(~(floor > costs[:, -1]))
+
+
+def _prefix_rows(ends: np.ndarray, costs: np.ndarray, whole: dict) -> Rows:
+    """The rows of the (n, k) sorted prefixes ``ends`` and ``costs``, with
+    the rows in ``whole``, {row: (ends, costs)}, held whole instead."""
+    n, k = ends.shape
+    complete = np.zeros(n, dtype=bool)
+    if not whole:
+        return Rows(np.arange(n + 1, dtype=np.int64) * k, ends.ravel(),
+                    costs.ravel(), complete)
+    complete[list(whole)] = True
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(complete, n - 1, k), out=ptr[1:])
+    flat_ends = np.empty(ptr[-1], dtype=np.int32)
+    flat_costs = np.empty(ptr[-1])
+    at = ptr[:-1][~complete, None] + np.arange(k)
+    flat_ends[at] = ends[~complete]
+    flat_costs[at] = costs[~complete]
+    for r, (e, c) in whole.items():
+        flat_ends[ptr[r]:ptr[r + 1]] = e
+        flat_costs[ptr[r]:ptr[r + 1]] = c
+    return Rows(ptr, flat_ends, flat_costs, complete)
+
+
+def _prefix_graph(n: int, k: int, directed: bool, fill, dense) -> SortedDigraph:
+    """The complete graph on ``n`` vertices whose costs ``fill`` writes, as
+    the first ``k`` < n - 1 entries of each row, or the whole row where the
+    k-th and (k+1)-th tie.  ``fill(r0, r1, out, columns)`` writes rows
+    r0..r1-1 of the cost matrix, or its columns (the in-rows) if
+    ``columns``, as :func:`_dense_graph` asks for them; ``dense()`` builds
+    the graph whole.
+    """
+    shape = (2 if directed else 1, n, k)
+    costs = np.empty(shape)  # the larger array first, should it not fit
+    ends = np.empty(shape, dtype=np.int32)
+    h = max(1, _BLOCK_CELLS // n)
+    full = np.empty(h * n)
+    keys = np.empty(h * n, dtype=np.uint64)
+    rows = []
+    for d in range(shape[0]):  # the out-rows, then the in-rows
+        whole = {}
+        for r0, r1 in _row_blocks(n):
+            block = full[:(r1 - r0) * n]
+            fill(r0, r1, block, d == 1)
+            block[r0::n + 1] = np.inf  # the diagonal sorts last
+            w = block.reshape(-1, n)
+            kb = keys[:block.size].reshape(-1, n)
+            for i in _sort_prefixes(w, kb, ends[d, r0:r1], costs[d, r0:r1]):
+                e, c = np.empty((1, n - 1), dtype=np.int32), np.empty((1, n - 1))
+                _sort_rows(w[i:i + 1], kb[i:i + 1], e, c)
+                whole[r0 + i] = e[0], c[0]
+        rows.append(_prefix_rows(ends[d], costs[d], whole))
+    return SortedDigraph._prefixes(n, directed, rows[0], rows[-1], dense)
 
 
 def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDigraph:
@@ -223,12 +412,38 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     All n(n-1) directed costs are i.i.d. draws from ``model`` (for an
     undirected graph, the n(n-1)/2 pair costs are mirrored).  The result is a
     pure function of (n, model.kind, model.shape, model.seed, directed).
-    Raises :class:`GraphError` if a cost is not finite.
+    The graph holds row prefixes until it is completed (see the module
+    docstring).  Raises :class:`GraphError` if a cost is not finite.
     """
     n = int(n)
     offset = _stream_offset(model.seed)
-    return _dense_graph(n, directed, lambda r0, r1, out: _block_costs(
-        n, r0, r1, model, directed, offset, out))
+
+    def fill(r0, r1, out, columns=False):
+        _block_costs(n, r0, r1, model, directed, offset, out, columns)
+
+    def dense():
+        return _dense_graph(n, directed, fill)
+
+    k = _prefix_length(n, model)
+    if k == n - 1:
+        return dense()
+    return _prefix_graph(n, k, directed, fill, dense)
+
+
+def _prefix_length(n: int, model: WeightModel) -> int:
+    """K = min(n - 1, ceil(_PREFIX_LOGS * (ln n)^p)), the length of a row
+    prefix, with p = max(1, 1/shape) for Weibull costs and 1 otherwise.
+
+    Searches and fast verifiers read a row about as deep as it holds costs
+    below a few typical distances, which is O((ln n)^p) entries: at most
+    3.4 ln n of an exp or uniform row at n = 2000, 3 ln n of a
+    weibull(3) row and 2.8 (ln n)^2 of a weibull(0.5) row.
+    """
+    p = max(1.0, 1.0 / model.shape) if model.kind == WEIBULL else 1.0
+    if n < 3:
+        return n - 1
+    log_k = math.log(_PREFIX_LOGS) + p * math.log(math.log(n))
+    return n - 1 if log_k >= math.log(n - 1) else math.ceil(math.exp(log_k))
 
 
 def from_cost_matrix(costs) -> SortedDigraph:
@@ -335,10 +550,10 @@ def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,
     return _from_edge_arrays(n, directed, src, dst, w)
 
 
-def _from_edge_arrays(n: int, directed: bool, src: np.ndarray,
-                      dst: np.ndarray, w: np.ndarray) -> SortedDigraph:
-    """:func:`build_sorted_adjacency` of the edges src[i] -> dst[i] of
-    float64 cost w[i], with the same checks."""
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray,
+                 w: np.ndarray) -> None:
+    """The checks of :func:`build_sorted_adjacency` on the edges src[i] ->
+    dst[i] of float64 cost w[i]."""
     if n < 1:
         raise GraphError("graph must have at least one vertex")
     if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
@@ -350,17 +565,27 @@ def _from_edge_arrays(n: int, directed: bool, src: np.ndarray,
             raise GraphError("self-loops are not allowed")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise GraphError("edge costs must be finite and non-negative")
+
+
+def _sorted_rows(n: int, key_src: np.ndarray, key_dst: np.ndarray,
+                 w: np.ndarray):
+    """(ptr, ends, costs) of the rows key_src[i] -> key_dst[i], each sorted
+    by (cost, vertex)."""
+    order = np.lexsort((key_dst, w, key_src))
+    ptr = np.searchsorted(key_src[order], np.arange(n + 1))
+    return ptr, key_dst[order].astype(np.int32), w[order]
+
+
+def _from_edge_arrays(n: int, directed: bool, src: np.ndarray,
+                      dst: np.ndarray, w: np.ndarray) -> SortedDigraph:
+    """:func:`build_sorted_adjacency` of the edges src[i] -> dst[i] of
+    float64 cost w[i], with the same checks."""
+    _check_edges(n, src, dst, w)
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         w = np.concatenate((w, w))
-
-    def _csr(key_src, key_dst):
-        order = np.lexsort((key_dst, w, key_src))
-        ptr = np.searchsorted(key_src[order], np.arange(n + 1))
-        return ptr, key_dst[order].astype(np.int32), w[order]
-
-    out = _csr(src, dst)
-    in_ = _csr(dst, src) if directed else out
+    out = _sorted_rows(n, src, dst, w)
+    in_ = _sorted_rows(n, dst, src, w) if directed else out
     return SortedDigraph(n, directed, *out, *in_)
 
 
@@ -377,10 +602,11 @@ def save(graph: SortedDigraph, file) -> None:
 
 def load(path) -> SortedDigraph:
     """Load a graph that :func:`save` wrote to the file at ``path``, and
-    raise :class:`GraphError` on any other file.  The edges (of an
-    undirected graph, the u < v half) go through the checks and the sort of
-    :func:`build_sorted_adjacency`, which must give back the file's own
-    arrays: rows sorted by (cost, vertex), undirected edges both ways."""
+    raise :class:`GraphError` on any other file.  The edges go through the
+    checks of :func:`build_sorted_adjacency`, and a row out of (cost,
+    vertex) order raises.  A directed file's out-rows are kept as they are,
+    and its in-rows sorted from them; an undirected file must equal what the
+    builder makes of its u < v half, which holds each edge both ways."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in npz.files}
@@ -399,14 +625,34 @@ def load(path) -> SortedDigraph:
             "malformed graph file: it holds exactly n (a positive integer), "
             "directed (a bool), ptr (n + 1 int64 offsets rising from 0 to the "
             "length of to and w), to (integers) and w (float64)")
+    n = int(n)
     src = np.repeat(np.arange(n), np.diff(ptr))
-    keep = slice(None) if directed else src < to
-    graph = _from_edge_arrays(int(n), bool(directed), src[keep], to[keep],
-                              w[keep])
-    for u in range(graph.n):
-        if not all(np.array_equal(got, want[ptr[u]:ptr[u + 1]])
-                   for got, want in zip(graph.out_edges(u), (to, w))):
-            raise GraphError(f"row {u} of the graph file is not sorted by "
-                             "(cost, vertex), or lacks an undirected edge's "
-                             "reverse")
+    if directed:
+        _check_edges(n, src, to, w)
+        to = to.astype(np.int32)
+        # entries that sort before the one ahead of them in their row
+        early = (w[1:] < w[:-1]) | ((w[1:] == w[:-1]) & (to[1:] < to[:-1]))
+        bad = min(src[1:][early & (src[1:] == src[:-1])][:1], default=None)
+        graph = SortedDigraph(n, True, ptr, to, w, *_sorted_rows(n, to, src, w))
+    else:
+        keep = src < to
+        graph = _from_edge_arrays(n, False, src[keep], to[keep], w[keep])
+        bad = _first_row_apart(graph.rows(), ptr, to, w)
+    if bad is not None:
+        raise GraphError(f"row {bad} of the graph file is not sorted by "
+                         "(cost, vertex), or lacks an undirected edge's "
+                         "reverse")
     return graph
+
+
+def _first_row_apart(rows: Rows, ptr: np.ndarray, ends: np.ndarray,
+                     costs: np.ndarray) -> Optional[int]:
+    """The first row in which ``rows`` and the CSR arrays (ptr, ends,
+    costs) differ, or None if they are equal."""
+    common = min(ends.shape[0], rows.ends.shape[0])
+    cells = np.flatnonzero((rows.ends[:common] != ends[:common])
+                           | (rows.costs[:common] != costs[:common]))
+    # the rows before the first end offset that differs start alike
+    ends_apart = np.flatnonzero(rows.ptr[1:] != ptr[1:])[:1]
+    cells_apart = np.searchsorted(ptr, cells[:1], side="right") - 1
+    return min(np.concatenate((ends_apart, cells_apart)), default=None)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import SortedDigraph
+from .graph import SortedDigraph, restarts
 from .verify import _parent_edges, _pertinent_windows, select_median
 
 
@@ -105,6 +105,7 @@ def harmonic_expected_distance(n: int, k: int) -> float:
     return float((h[k - 1] - h[n - k] + h[n - 1]) / n)
 
 
+@restarts
 def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
     """Classify every edge of ``graph`` against ``tree``.
 
@@ -132,7 +133,7 @@ def classify_pertinence(graph: SortedDigraph, tree) -> PertinenceCounts:
         size = end - start
         pos = np.arange(size.sum()) + np.repeat(end - np.cumsum(size), size)
         row = np.repeat(rows, size)
-        ends = graph.out_to if outgoing else graph.in_from
+        ends = graph.rows(outgoing).ends
         other = ends[pos].astype(np.int64)  # keys overflow int32
         u, v = (row, other) if outgoing else (other, row)
         closer_first = (rank[u] < rank[v]) | graph.directed

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graph import SortedDigraph
+from .graph import RowOverflow, SortedDigraph, restarts
 from .pq import BinaryHeapQueue, BucketQueue, bucket_defaults
 
 INF = math.inf
@@ -109,10 +109,16 @@ class FbRecording:
     Traces are replayable op lists (("i", key) / ("x",)).  Insert/request
     logs keep enough context to check the algorithm's invariants after the
     fact: which edges entered each queue, with what key, and whether a P
-    insert came from the out-list or the request list.
+    insert came from the out-list or the request list.  A run clears the
+    recording first, so it holds the last run only, and a search that
+    restarts on the completed graph records its second run.
     """
 
     def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget everything recorded, as a run does when it starts."""
         self.p_trace: list = []
         self.q_trace: list = []
         self.p_extract_keys: List[float] = []
@@ -131,7 +137,7 @@ def spira(graph: SortedDigraph, source: int
     stage 1 of :func:`fb_sssp` run to the end, on a binary heap.
     """
     _check_source(graph, source)
-    return _search(graph, source, BinaryHeapQueue(), None, None)
+    return _search(graph, source, False, None)
 
 
 def fb_sssp(graph: SortedDigraph, source: int,
@@ -161,9 +167,7 @@ def fb_sssp(graph: SortedDigraph, source: int,
         return (ShortestPathTree(source, np.full(1, -1, dtype=np.int64),
                                  np.zeros(1)),
                 ScanStats(median=0.0, size_at_median=1))
-    nb, w = bucket_defaults(n)
-    return _search(graph, source, BucketQueue(nb, w), BucketQueue(nb, w),
-                   record)
+    return _search(graph, source, True, record)
 
 
 def _check_source(graph: SortedDigraph, source: int) -> None:
@@ -171,31 +175,44 @@ def _check_source(graph: SortedDigraph, source: int) -> None:
         raise ValueError("source out of range")
 
 
-def _search(graph: SortedDigraph, source: int,
-            P: Union[BinaryHeapQueue, BucketQueue], Q: Optional[BucketQueue],
+@restarts
+def _search(graph: SortedDigraph, source: int, fb: bool,
             record: Optional[FbRecording]
             ) -> Tuple[ShortestPathTree, ScanStats]:
-    """The search loop of :func:`fb_sssp`; without Q the median switch
-    never fires, M stays infinite, and the loop is Spira's algorithm.
+    """The search loop of :func:`fb_sssp`, on bucket queues P and Q; unless
+    ``fb``, it runs on a binary heap P with no Q, the median switch never
+    fires, M stays infinite, and the loop is Spira's algorithm.
 
-    Each vertex has one cursor per direction into the graph's CSR arrays:
-    a position and an end, which start at its row's bounds.  When the
-    median cuts a vertex's out-list, its end moves onto its position, so
-    the cursor test fails from then on.  The queue counts in the returned
-    :class:`ScanStats` are the queues' own, copied when the loop ends.
+    Each vertex has one cursor per direction into the graph's rows
+    (:meth:`~fbsp.graph.SortedDigraph.rows`): a position and an end, which
+    start at its row's bounds.  When the median cuts a vertex's out-list,
+    its end moves onto its position, so the cursor test fails from then on.
+    A cursor that would pass the end of an incomplete row raises
+    :class:`~fbsp.graph.RowOverflow`, and the search starts again on the
+    completed graph.  The queue counts in the returned :class:`ScanStats`
+    are the queues' own, copied when the loop ends.
     """
     n = graph.n
+    if fb:
+        nb, width = bucket_defaults(n)
+        P, Q = BucketQueue(nb, width), BucketQueue(nb, width)
+    else:
+        P, Q = BinaryHeapQueue(), None
+    if record is not None:
+        record.clear()
     dist = [INF] * n    # lists: their items read faster than an array's
     parent = [-1] * n
     dist[source] = 0.0
     stats = ScanStats()
 
-    out_to, out_w = graph.out_to, graph.out_w
-    in_from, in_w = graph.in_from, graph.in_w
-    out_at = graph.out_ptr.tolist()
+    out_ptr, out_to, out_w, out_full = graph.rows(True)
+    in_ptr, in_from, in_w, in_full = graph.rows(False)
+    out_at = out_ptr.tolist()
     out_end = out_at[1:]
-    in_at = graph.in_ptr.tolist()
+    out_more = (~out_full).tolist()  # the row goes on past its end
+    in_at = in_ptr.tolist()
     in_end = in_at[1:]
+    in_more = (~in_full).tolist()
     active = [False] * n    # u currently has an edge in P
     req: List[list] = [[] for _ in range(n)]
     req_cur = [0] * n
@@ -214,8 +231,11 @@ def _search(graph: SortedDigraph, source: int,
             c = out_w.item(i)
             if M < INF and c > 2.0 * (M - du):
                 out_end[u] = i + 1
+                out_more[u] = False  # the cut row is read no further
             else:
                 v = out_to.item(i)
+        elif out_more[u]:
+            raise RowOverflow
         from_req = v < 0
         if from_req:
             j = req_cur[u]
@@ -244,6 +264,8 @@ def _search(graph: SortedDigraph, source: int,
             if record is not None:
                 record.q_trace.append(("i", c))
                 record.q_inserts.append((u, v, c))
+        elif in_more[v]:
+            raise RowOverflow
 
     def request(u: int, v: int, c: float) -> None:
         stats.requests += 1

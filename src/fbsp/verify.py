@@ -13,11 +13,14 @@ c[u,v] < d[v] - d[u], where d is the tree distance.  Three checkers:
   An edge outside both windows satisfies c > (M - d[u]) + (d[v] - M)
   = d[v] - d[u], so checking the windows alone is sound and complete.
 
-The fast verifiers and :func:`tree_distances` read their windows with one
-vectorised row-window scan (:func:`_first_true`): it gathers a short prefix
-of every row at once and widens it, four times at a step, only for the rows
-whose window (or sought parent) lies beyond it.  Counts and witnesses are
-those of a row-by-row scan in vertex order.  The windows of
+The fast verifiers and :func:`tree_distances` read their windows in the
+graph's rows (:meth:`~fbsp.graph.SortedDigraph.rows`) with one vectorised
+row-window scan (:func:`_first_true`): it gathers a short prefix of every
+row at once and widens it, four times at a step, only for the rows whose
+window (or sought parent) lies beyond it.  A window, terminator or parent
+edge that may lie past the end of an incomplete row completes the graph,
+and the call starts again (:func:`~fbsp.graph.restarts`).  Counts and
+witnesses are those of a row-by-row scan in vertex order.  The windows of
 :func:`verify_fb` are defined and found once, in :func:`_pertinent_windows`;
 :func:`fbsp.oracle.classify_pertinence` reads them there, and looks up tree
 edges by :func:`_parent_edges`, the in-list scan of :func:`tree_distances`.
@@ -37,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import SortedDigraph
+from .graph import RowOverflow, SortedDigraph, restarts
 
 _REL_EPS = 1e-12
 
@@ -102,27 +105,33 @@ def _first_true(start: np.ndarray, stop: np.ndarray, pred) -> np.ndarray:
 
 
 def _parent_edges(graph: SortedDigraph, parent: np.ndarray):
-    """(kids, parents, at): the vertices whose parent is not -1, their
-    parents, and the flat in-list position of each parent edge's cheapest
-    copy, from one row-window scan of the in-lists.  Raises
-    :class:`VerifyError` on the first vertex whose parent is out of range
-    or whose parent edge is not in the graph."""
+    """(kids, parents, costs): the vertices whose parent is not -1, their
+    parents, and the cost of each parent edge's cheapest copy, from one
+    row-window scan of the in-rows.  Raises :class:`VerifyError` on the
+    first vertex whose parent is out of range or whose parent edge is not
+    in the graph, and :class:`~fbsp.graph.RowOverflow` first if a parent
+    edge may lie past the end of an incomplete row."""
     n = graph.n
+    ptr, ends, costs, complete = graph.rows(False)
     kids = np.flatnonzero(parent != -1)
     p = parent[kids]
-    start = graph.in_ptr[kids]
-    stop = np.where((p >= 0) & (p < n), graph.in_ptr[kids + 1], start)
-    at = _first_true(start, stop,
-                     lambda s, pos: graph.in_from[pos] == p[s, None])
-    missing = kids[at == stop]
+    start = ptr[kids]
+    in_range = (p >= 0) & (p < n)
+    stop = np.where(in_range, ptr[kids + 1], start)
+    at = _first_true(start, stop, lambda s, pos: ends[pos] == p[s, None])
+    missing = at == stop
+    if (missing & in_range & ~complete[kids]).any():
+        raise RowOverflow
+    missing = kids[missing]
     if missing.shape[0]:
         v = missing[0]  # the first bad vertex in vertex order names the error
         if not 0 <= parent[v] < n:
             raise VerifyError(f"parent of {v} out of range")
         raise VerifyError(f"tree edge ({parent[v]}, {v}) is not in the graph")
-    return kids, p, at
+    return kids, p, costs[at]
 
 
+@restarts
 def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
                    ) -> np.ndarray:
     """Distances along the tree given by ``parent`` (-1 marks no parent).
@@ -142,9 +151,9 @@ def tree_distances(graph: SortedDigraph, parent: Sequence[int], source: int
     if parent[source] != -1:
         raise VerifyError("source must have no parent")
 
-    kids, p, at = _parent_edges(graph, parent)
+    kids, p, cost = _parent_edges(graph, parent)
     children = [[] for _ in range(n)]
-    for v, pv, c in zip(kids.tolist(), p.tolist(), graph.in_w[at].tolist()):
+    for v, pv, c in zip(kids.tolist(), p.tolist(), cost.tolist()):
         children[pv].append((v, c))
 
     dist = [math.inf] * n
@@ -241,15 +250,18 @@ def verify_full(graph: SortedDigraph, tree) -> VerifyReport:
 
 def _windows(graph: SortedDigraph, rows: np.ndarray, thr: np.ndarray,
              inclusive: bool, outgoing: bool):
-    """(start, end) of the windows of the sorted out-lists (in-lists unless
+    """(start, end) of the windows of the sorted out-rows (in-rows unless
     ``outgoing``) of ``rows``: a row's window [start, end) of the flat
-    arrays holds its edges with cost < thr (<= thr when ``inclusive``)."""
-    ptr, costs = ((graph.out_ptr, graph.out_w) if outgoing
-                  else (graph.in_ptr, graph.in_w))
+    arrays holds its edges with cost < thr (<= thr when ``inclusive``).
+    Raises :class:`~fbsp.graph.RowOverflow` if a window, or the terminator
+    edge after it, may lie past the end of an incomplete row."""
+    ptr, _, costs, complete = graph.rows(outgoing)
     start, stop = ptr[rows], ptr[rows + 1]
     past = np.greater if inclusive else np.greater_equal
     end = _first_true(start, stop,
                       lambda s, pos: past(costs[pos], thr[s, None]))
+    if not complete[rows[end == stop]].all():
+        raise RowOverflow
     return start, end
 
 
@@ -277,9 +289,8 @@ def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
     and, for that row, (witness, edges up to and including the violation,
     edges the row reads).
     """
-    ends, costs = ((graph.out_to, graph.out_w) if outgoing
-                   else (graph.in_from, graph.in_w))
-    stop = (graph.out_ptr if outgoing else graph.in_ptr)[rows + 1]
+    ptr, ends, costs, _ = graph.rows(outgoing)
+    stop = ptr[rows + 1]
     read = np.minimum(end + 1, stop)
     d_row = d[rows]
 
@@ -302,6 +313,7 @@ def _scan_windows(graph: SortedDigraph, d: np.ndarray, rows: np.ndarray,
     return int(read[:i].sum()), (witness, at - int(start[i]) + 1, int(read[i]))
 
 
+@restarts
 def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
     """Scan each sorted out-list until an edge with c >= D - d[u] appears."""
     d = tree_distances(graph, tree.parent, tree.source)
@@ -319,6 +331,7 @@ def verify_forward_only(graph: SortedDigraph, tree) -> VerifyReport:
     return _report(tree, d, examined, witness, max_distance=D)
 
 
+@restarts
 def verify_fb(graph: SortedDigraph, tree) -> VerifyReport:
     """Check only the pertinent edges around the median tree distance M
     (:func:`_pertinent_windows`): the out-windows, then, if they hold no

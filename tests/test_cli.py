@@ -393,3 +393,22 @@ def test_graph_too_large_for_memory_exits_1(capsys):
     assert main(["sssp", "--n", "10000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sssp_json_says_whether_a_trial_built_the_whole_graph(tmp_path):
+    # fb reads row prefixes only; dijkstra reads every row whole
+    for algo, completed in (("fb", False), ("dijkstra", True)):
+        j = tmp_path / f"{algo}.json"
+        assert main(["sssp", "--n", "2000", "--algo", algo,
+                     "--json", str(j)]) == 0
+        rows = json.loads(j.read_text())["rows"]
+        assert [row["graph_completed"] for row in rows] == [completed]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(["gen", "--n", "5", "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list(target.iterdir()) == []

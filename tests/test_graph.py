@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
-                        SortedDigraph, WeightModel, _sort_rows,
-                        build_sorted_adjacency, from_cost_matrix,
-                        gen_complete, load, save)
+                        SortedDigraph, WeightModel, _dense_graph,
+                        _prefix_graph, _prefix_length, _sort_rows,
+                        build_sorted_adjacency,
+                        from_cost_matrix, gen_complete, load, save)
 from helpers import cost_matrix
 
 
@@ -462,3 +463,102 @@ def test_save_load_round_trip_at_every_size(n, tmp_path):
     path = tmp_path / "g.txt"
     save(g, path)
     assert load(path) == g
+
+
+# gen_complete holds the first K = min(n - 1, ceil(8 ln n)) entries of an
+# exp, uniform or weibull(3) row: K = n - 1 up to n = 28, and K < n - 1
+# from n = 29; a weibull(0.5) row holds 8 (ln n)^2 entries, one of shape
+# 0.05 all of them
+@pytest.mark.parametrize("n", [1, 2, 17, 28, 29, 200, 2000])
+@pytest.mark.parametrize("kind,shape", [("exp", None), ("uniform", None),
+                                        ("weibull", 0.05), ("weibull", 0.5),
+                                        ("weibull", 3.0), ("weibull", 150.0)])
+@pytest.mark.parametrize("directed", [True, False])
+def test_prefix_rows_are_the_heads_of_the_dense_rows(n, kind, shape,
+                                                     directed):
+    model = WeightModel(kind, seed=n, shape=shape)
+    g = gen_complete(n, model, directed)
+    k = _prefix_length(n, model)
+    p = 2 if shape == 0.5 else 20 if shape == 0.05 else 1
+    assert k == min(n - 1, math.ceil(8 * math.log(max(n, 2)) ** p))
+    assert g.completed == (k == n - 1)
+    prefixes = [g.rows(True), g.rows(False)]
+    assert g.num_edges == n * (n - 1)
+    dense = gen_complete(n, model, directed).complete()
+    assert dense == g  # completes g
+    assert dense.completed and g.completed
+    for rows, outgoing in zip(prefixes, (True, False)):
+        assert_heads(rows, dense.rows(outgoing), k)
+        for a, b in zip(g.rows(outgoing)[:3], dense.rows(outgoing)[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_heads(rows, dense, k):
+    """Each row of ``rows`` is the head of the same row of the complete
+    ``dense``: all of it where marked complete, else its first k entries."""
+    n = rows.complete.shape[0]
+    length = np.diff(rows.ptr)
+    full = np.diff(dense.ptr)
+    assert np.array_equal(length, np.where(rows.complete, full, k))
+    row = np.repeat(np.arange(n), length)
+    pos = np.arange(length.sum()) - np.repeat(rows.ptr[:-1], length)
+    at = dense.ptr[row] + pos
+    assert np.array_equal(rows.ends, dense.ends[at])
+    assert np.array_equal(rows.costs, dense.costs[at])
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (3, 17, 65, 129)
+                                 for k in (1, 2, 5) if k < n - 1])
+@pytest.mark.parametrize("directed", [True, False])
+def test_prefix_build_cuts_ties_and_near_ties_like_the_dense_build(
+        n, k, directed):
+    # half the costs come from a pool of ties and of costs a few ulps apart,
+    # which a row's keys do not tell apart: a row whose k-th and (k+1)-th
+    # entries may tie is held whole
+    m = adversarial_matrix(n, seed=n + k)
+    if not directed:
+        m = np.minimum(m, m.T)
+
+    def fill(r0, r1, out, columns=False):
+        cells = m[:, r0:r1].T if columns and directed else m[r0:r1]
+        np.add(cells, 0.0, out=out.reshape(r1 - r0, n))  # no -0.0
+
+    g = _prefix_graph(n, k, directed, fill, None)
+    dense = _dense_graph(n, directed, fill)
+    for outgoing in (True, False):
+        assert_heads(g.rows(outgoing), dense.rows(outgoing), k)
+    assert n < 65 or g.rows().complete.any()
+
+
+def test_a_graph_completes_once_and_drops_its_prefixes():
+    g = gen_complete(100, WeightModel(EXPONENTIAL, seed=4))
+    prefix = g.rows()
+    assert not g.completed and not prefix.complete.any()
+    assert g.complete() is g and g.completed
+    rows = g.rows()
+    assert rows is not prefix and rows.complete.all()
+    assert g.complete().rows() is rows
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_a_cost_that_overflows_only_on_the_diagonal_is_no_edge(directed):
+    # with this seed only diagonal cells overflow at this shape
+    model = WeightModel("weibull", seed=840, shape=300.0)
+    with np.errstate(over="ignore"):
+        diagonal = reference_costs(model, np.arange(0, 40 * 40, 41))
+    assert np.isinf(diagonal).any()
+    g = gen_complete(40, model, directed)
+    assert not g.completed
+    assert g == reference_gen_complete(40, model, directed)
+
+
+def test_one_overflowing_cost_past_every_prefix_is_rejected():
+    # one cost overflows, the largest of its row and of its column, so it
+    # lies in no prefix; the graph is rejected all the same
+    model = WeightModel("weibull", seed=12, shape=300.0)
+    with np.errstate(over="ignore"):
+        costs = reference_costs(model, np.arange(40 * 40)).reshape(40, 40)
+    np.fill_diagonal(costs, 0.0)
+    assert np.isinf(costs).sum() == 1
+    with pytest.raises(GraphError, match="overflows"):
+        gen_complete(40, model)

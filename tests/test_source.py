@@ -32,3 +32,15 @@ def test_every_np_load_refuses_pickles():
                          and isinstance(k.value, ast.Constant)
                          and k.value.value is False for k in node.keywords)]
     assert unsafe == []
+
+
+def test_row_readers_never_read_the_csr_arrays():
+    # a graph from gen_complete holds row prefixes, and reading its CSR
+    # arrays builds all n(n - 1) entries: the searches, the fast verifiers
+    # and the oracle read graph.rows(), and the full readers out_edges
+    csr = {"out_ptr", "out_to", "out_w", "in_ptr", "in_from", "in_w"}
+    found = [f"{name}:{node.lineno} .{node.attr}"
+             for name in ("sssp.py", "verify.py", "oracle.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text(), name))
+             if isinstance(node, ast.Attribute) and node.attr in csr]
+    assert found == []

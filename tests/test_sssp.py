@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fbsp.graph import EXPONENTIAL, WeightModel, build_sorted_adjacency, gen_complete
+from fbsp.graph import (EXPONENTIAL, Rows, SortedDigraph, WeightModel,
+                        build_sorted_adjacency, gen_complete)
+from fbsp.oracle import classify_pertinence
 from fbsp.pq import BinaryHeapQueue, BucketQueue, bucket_defaults, replay
 from fbsp.sssp import (FbRecording, ScanStats, ShortestPathTree, dijkstra,
                        fb_sssp, replay_trace, spira)
+from fbsp.verify import (VerifyError, tree_distances, verify_fb,
+                         verify_forward_only, verify_full)
 
 INF = math.inf
 
@@ -552,3 +556,121 @@ def test_multigraph_keeps_the_cheapest_copy():
         assert tree.dist[1] == 1.0
         assert tree.parent[1] == 0
 
+
+def _results(graph, tree, wrong):
+    """Everything the row readers return on ``graph``, each reader on a
+    fresh graph from ``graph()``: fb_sssp, spira and replay_trace from
+    ``tree``'s source, and tree_distances, the three verifiers and
+    classify_pertinence on ``tree`` and on the ``wrong`` trees."""
+    def run(read, *args):
+        try:
+            got = read(graph(), *args)
+        except VerifyError as exc:
+            return "error", str(exc)
+        if isinstance(got, tuple):  # a tree and its ScanStats
+            got = got[0].parent.tolist(), got[0].dist.tolist(), got[1]
+        elif isinstance(got, FbRecording):
+            got = [getattr(got, name) for name in _RECORDING_LISTS]
+        elif isinstance(got, np.ndarray):
+            got = got.tolist()
+        return repr(got)
+
+    rec = FbRecording()
+    got = [run(fb_sssp, tree.source, rec),
+           [getattr(rec, name) for name in _RECORDING_LISTS],
+           run(spira, tree.source), run(replay_trace, tree.source),
+           run(classify_pertinence, tree)]
+    for t in [tree, *wrong]:
+        got += [run(tree_distances, t.parent, t.source)]
+        got += [run(check, t) for check in (verify_fb, verify_forward_only,
+                                            verify_full)]
+    return got
+
+
+def _wrong_trees(tree, rng, count):
+    """``tree`` with one vertex moved to another parent, each time carrying
+    the old distances (the moved parent edge may lie deep in its row)."""
+    n = tree.parent.shape[0]
+    for v in rng.choice(np.flatnonzero(tree.parent >= 0), count):
+        parent = tree.parent.copy()
+        parent[v] = (v + 1 + int(rng.integers(0, n - 1))) % n
+        yield ShortestPathTree(tree.source, parent, tree.dist)
+
+
+PREFIX_MODELS = [("exp", None), ("uniform", None), ("weibull", 0.05),
+                 ("weibull", 0.5), ("weibull", 3.0), ("weibull", 150.0)]
+
+
+def _assert_prefix_readers_match(graph, complete):
+    """Every reader gives on fresh graphs from ``graph()`` what it gives on
+    the completed graph ``complete``, from two sources."""
+    rng = np.random.default_rng(3)
+    for source in (0, complete.n - 1):
+        tree = dijkstra(complete, source)
+        wrong = list(_wrong_trees(tree, rng, 3))
+        assert _results(graph, tree, wrong) == \
+            _results(lambda: complete, tree, wrong)
+
+
+# the least K, 1, for every model; K = 6 at n = 200 (29 for weibull(0.5));
+# and the default K = 43 (weibull(0.5) rows whole, weibull(0.05) rows whole
+# at both)
+@pytest.mark.parametrize("logs", [1e-300, 1.0, 8.0])
+@pytest.mark.parametrize("kind,shape", PREFIX_MODELS)
+@pytest.mark.parametrize("directed", [True, False])
+def test_readers_of_row_prefixes_give_the_results_of_the_complete_graph(
+        logs, kind, shape, directed, monkeypatch):
+    # a reader that reads past a prefix completes the graph and starts
+    # again; with a prefix of one entry every search does
+    import fbsp.graph
+
+    monkeypatch.setattr(fbsp.graph, "_PREFIX_LOGS", logs)
+    n = 200
+    model = WeightModel(kind, seed=7, shape=shape)
+    complete = gen_complete(n, model, directed).complete()
+    prefix = gen_complete(n, model, directed)
+    assert prefix.completed == (fbsp.graph._prefix_length(n, model) == n - 1)
+    if logs < 1:
+        assert not prefix.completed
+        rows = prefix.rows()
+        assert (np.diff(rows.ptr)[~rows.complete] == 1).all()
+        fb_sssp(prefix, 0)
+        assert prefix.completed
+    _assert_prefix_readers_match(lambda: gen_complete(n, model, directed),
+                                 complete)
+
+
+def _cut(rows, k):
+    """The first ``k`` entries of each of the complete ``rows``."""
+    full = np.diff(rows.ptr)
+    length = np.minimum(full, k)
+    ptr = np.concatenate(([0], np.cumsum(length)))
+    at = np.arange(ptr[-1]) + np.repeat(rows.ptr[:-1] - ptr[:-1], length)
+    return Rows(ptr, rows.ends[at], rows.costs[at], length == full)
+
+
+# whole out-rows with short in-rows make the backward scans run out first
+@pytest.mark.parametrize("out_k,in_k", [(199, 1), (199, 3), (1, 199), (4, 2)])
+@pytest.mark.parametrize("kind,shape", PREFIX_MODELS)
+def test_readers_of_uneven_prefixes_give_the_results_of_the_complete_graph(
+        out_k, in_k, kind, shape):
+    n = 200
+    model = WeightModel(kind, seed=8, shape=shape)
+    complete = gen_complete(n, model).complete()
+
+    def graph():
+        return SortedDigraph._prefixes(
+            n, True, _cut(complete.rows(True), out_k),
+            _cut(complete.rows(False), in_k),
+            lambda: gen_complete(n, model).complete())
+
+    assert not graph().completed
+    _assert_prefix_readers_match(graph, complete)
+
+
+def test_fresh_graphs_stay_prefixes_through_a_search_and_its_check():
+    for seed in range(5):
+        g = gen_complete(2000, WeightModel(EXPONENTIAL, seed=seed))
+        tree, _ = fb_sssp(g, 0)
+        assert verify_fb(g, tree).accepted
+        assert not g.completed
