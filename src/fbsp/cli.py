@@ -215,7 +215,7 @@ def _run_algo(algo: str, graph: SortedDigraph, source: int):
     return tree, stats, time.perf_counter_ns() - t0
 
 
-# the one priority queue each algorithm runs on, reported in the pq column
+# the queue whose run the output equals (fb and spira search on heapq)
 _QUEUE = {"fb": "bucket", "spira": "binheap", "dijkstra": "heapq"}
 
 _SSSP_COUNTERS = ["forward_scans", "backward_scans", "p_inserts", "p_extracts",

@@ -570,8 +570,12 @@ def _check_edges(n: int, src: np.ndarray, dst: np.ndarray,
 def _sorted_rows(n: int, key_src: np.ndarray, key_dst: np.ndarray,
                  w: np.ndarray):
     """(ptr, ends, costs) of the rows key_src[i] -> key_dst[i], each sorted
-    by (cost, vertex)."""
-    order = np.lexsort((key_dst, w, key_src))
+    by (cost, vertex): np.lexsort((key_dst, w, key_src)) as stable sorts,
+    the vertex keys on the least unsigned type (a radix sort to 16 bits)."""
+    vertex = np.min_scalar_type(n - 1)
+    order = np.argsort(key_dst.astype(vertex), kind="stable")
+    order = order[np.argsort(w[order], kind="stable")]
+    order = order[np.argsort(key_src[order].astype(vertex), kind="stable")]
     ptr = np.searchsorted(key_src[order], np.arange(n + 1))
     return ptr, key_dst[order].astype(np.int32), w[order]
 

@@ -4,8 +4,9 @@ heaps.
 
 Both queues assume monotone use: once an item has been extracted, no item
 with a smaller key is inserted.  Under that contract successive extractions
-return non-decreasing keys, and the two implementations extract the same key
-sequence for any operation trace (items with equal keys may swap places).
+return non-decreasing keys.  Ties go by whole ``(key, item)`` entries, so
+items with equal keys must be mutually orderable, and both queues, like a
+``heapq`` list of them, extract one (item, key) sequence from any trace.
 
 Both queues offer the same operations:
 
@@ -45,7 +46,7 @@ class QueueStats:
 
 
 class _Heap:
-    """Array binary min-heap of (key, item) pairs.
+    """Array binary min-heap of (key, item) pairs, ordered as tuples.
 
     Sift comparisons are tallied into a shared single-element list so that a
     bucket queue can aggregate the work done across all of its sub-heaps.
@@ -62,17 +63,18 @@ class _Heap:
 
     def push(self, key: float, item: Any) -> None:
         a = self.a
-        a.append((key, item))
+        e = (key, item)
+        a.append(e)
         i = len(a) - 1
         cm = 0
         while i > 0:
             parent = (i - 1) >> 1
             cm += 1
-            if a[parent][0] <= key:
+            if a[parent] <= e:
                 break
             a[i] = a[parent]
             i = parent
-        a[i] = (key, item)
+        a[i] = e
         self.cmps[0] += cm
 
     def peek_key(self) -> float:
@@ -85,7 +87,6 @@ class _Heap:
         n = len(a)
         if n:
             i = 0
-            key = last[0]
             cm = 0
             while True:
                 left = 2 * i + 1
@@ -95,10 +96,10 @@ class _Heap:
                 right = left + 1
                 if right < n:
                     cm += 1
-                    if a[right][0] < a[left][0]:
+                    if a[right] < a[left]:
                         child = right
                 cm += 1
-                if a[child][0] >= key:
+                if a[child] >= last:
                     break
                 a[i] = a[child]
                 i = child

@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graph import RowOverflow, SortedDigraph, restarts
-from .pq import BinaryHeapQueue, BucketQueue, bucket_defaults
 
 INF = math.inf
 
@@ -134,7 +133,7 @@ def spira(graph: SortedDigraph, source: int
 
     Requires sorted out-adjacency.  Each extraction of (u, v) scans the edge
     after it in Out[u]; a newly settled vertex scans its first edge.  This is
-    stage 1 of :func:`fb_sssp` run to the end, on a binary heap.
+    stage 1 of :func:`fb_sssp` run to the end, equal to a binary-heap run.
     """
     _check_source(graph, source)
     return _search(graph, source, False, None)
@@ -157,8 +156,9 @@ def fb_sssp(graph: SortedDigraph, source: int,
       (scanned immediately -- an "urgent request" -- if u is settled but has
       no edge in P).
 
-    P and Q are two-level bucket queues with B = n buckets of width
-    W = 1/(n ln n) (:func:`~fbsp.pq.bucket_defaults`).
+    P and Q are ``heapq`` lists.  By the tie rule of :mod:`fbsp.pq` the run
+    equals one on two-level bucket queues with B = n buckets of width
+    W = 1/(n ln n) (:func:`~fbsp.pq.bucket_defaults`), as in the paper.
     """
     _check_source(graph, source)
     n = graph.n
@@ -179,9 +179,9 @@ def _check_source(graph: SortedDigraph, source: int) -> None:
 def _search(graph: SortedDigraph, source: int, fb: bool,
             record: Optional[FbRecording]
             ) -> Tuple[ShortestPathTree, ScanStats]:
-    """The search loop of :func:`fb_sssp`, on bucket queues P and Q; unless
-    ``fb``, it runs on a binary heap P with no Q, the median switch never
-    fires, M stays infinite, and the loop is Spira's algorithm.
+    """The search loop of :func:`fb_sssp`, on ``heapq`` lists P and Q of
+    (key, u, v) entries; unless ``fb``, Q stays empty, the median switch
+    never fires, M stays infinite, and the loop is Spira's algorithm.
 
     Each vertex has one cursor per direction into the graph's rows
     (:meth:`~fbsp.graph.SortedDigraph.rows`): a position and an end, which
@@ -189,15 +189,12 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
     its end moves onto its position, so the cursor test fails from then on.
     A cursor that would pass the end of an incomplete row raises
     :class:`~fbsp.graph.RowOverflow`, and the search starts again on the
-    completed graph.  The queue counts in the returned :class:`ScanStats`
-    are the queues' own, copied when the loop ends.
+    completed graph.  A queue's inserts are its extracts plus the entries
+    left in it when the loop ends.
     """
     n = graph.n
-    if fb:
-        nb, width = bucket_defaults(n)
-        P, Q = BucketQueue(nb, width), BucketQueue(nb, width)
-    else:
-        P, Q = BinaryHeapQueue(), None
+    P: List[Tuple[float, int, int]] = []
+    Q: List[Tuple[float, int, int]] = []
     if record is not None:
         record.clear()
     dist = [INF] * n    # lists: their items read faster than an array's
@@ -219,7 +216,7 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
 
     M = INF
     # settled starts at 1, so a switch at 0 never fires
-    switch_at = (n + 1) // 2 if Q is not None else 0
+    switch_at = (n + 1) // 2 if fb else 0
 
     def forward(u: int, du: float) -> None:
         v = -1
@@ -246,7 +243,7 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
         if v >= 0:
             active[u] = True
             key = du + c
-            P.insert((u, v), key)
+            heappush(P, (key, u, v))
             if record is not None:
                 record.p_trace.append(("i", key))
                 record.p_inserts.append((u, v, c, key, from_req))
@@ -260,7 +257,7 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
             stats.backward_scans += 1
             u = in_from.item(i)
             c = in_w.item(i)
-            Q.insert((u, v), c)
+            heappush(Q, (c, u, v))
             if record is not None:
                 record.q_trace.append(("i", c))
                 record.q_inserts.append((u, v, c))
@@ -279,8 +276,9 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
 
     forward(source, 0.0)
     settled = 1
-    while settled < n and len(P):
-        (u, v), key = P.extract_min()
+    while settled < n and P:
+        key, u, v = heappop(P)
+        stats.p_extracts += 1
         if record is not None:
             record.p_trace.append(("x",))
             record.p_extract_keys.append(key)
@@ -299,10 +297,10 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
                         backward(w)
         if M == INF:
             continue   # Q stays empty until the median is known
-        # drain newly identifiable in-pertinent edges; an empty Q's min_key
-        # is inf, which ends the drain
-        while Q.min_key() < 2.0 * (P.min_key() - M):
-            (u2, v2), c2 = Q.extract_min()
+        # drain newly identifiable in-pertinent edges
+        while Q and Q[0][0] < 2.0 * ((P[0][0] if P else INF) - M):
+            c2, u2, v2 = heappop(Q)
+            stats.q_extracts += 1
             if record is not None:
                 record.q_trace.append(("x",))
                 record.q_extract_keys.append(c2)
@@ -310,11 +308,8 @@ def _search(graph: SortedDigraph, source: int, fb: bool,
                 backward(v2)
                 request(u2, v2, c2)
 
-    stats.p_inserts = P.stats.inserts
-    stats.p_extracts = P.stats.extracts
-    if Q is not None:
-        stats.q_inserts = Q.stats.inserts
-        stats.q_extracts = Q.stats.extracts
+    stats.p_inserts = stats.p_extracts + len(P)
+    stats.q_inserts = stats.q_extracts + len(Q)
     return (ShortestPathTree(source, np.array(parent, dtype=np.int64),
                              np.array(dist)), stats)
 

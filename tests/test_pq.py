@@ -1,3 +1,4 @@
+import heapq
 import math
 import os
 import random
@@ -133,6 +134,45 @@ def test_random_trace_property(seed):
     got = replay(trace, BucketQueue(7, 0.07))
     assert got == ref
     assert got == sorted(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_queue_extracts_the_least_key_then_item(data):
+    # ties are heavy: every key is one of 3-5 multiples of a quarter bucket,
+    # up to a bucket and a half past the last one, which is clamped
+    nb = data.draw(st.integers(1, 6), label="nbuckets")
+    width = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="width")
+    steps = data.draw(st.lists(st.integers(0, 4 * nb + 6), min_size=3,
+                               max_size=5, unique=True), label="quarters")
+    values = sorted(k * width / 4 for k in steps)
+    ref: list = []   # heapq list of (key, item)
+    queues = (BucketQueue(nb, width), BinaryHeapQueue())
+    got = ([], [], [])
+
+    def extract():
+        key, item = heapq.heappop(ref)
+        got[0].append((item, key))
+        for q, out in zip(queues, got[1:]):
+            out.append(q.extract_min())
+        return key
+
+    last = 0.0
+    for _ in range(data.draw(st.integers(0, 80), label="ops")):
+        if ref and data.draw(st.booleans(), label="extract"):
+            last = extract()
+        else:
+            key = data.draw(st.sampled_from([k for k in values if k >= last]),
+                            label="key")
+            item = data.draw(st.integers(0, 9), label="item")
+            heapq.heappush(ref, (key, item))
+            for q in queues:
+                q.insert(item, key)
+    while ref:
+        extract()
+    assert got[1] == got[0]
+    assert got[2] == got[0]
+    assert all(q.extract_min() is None for q in queues)
 
 
 def test_late_inserts_into_active_bucket():

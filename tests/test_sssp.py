@@ -337,6 +337,26 @@ def test_fb_matches_frozen_reference(graph):
             assert getattr(rec, name) == getattr(ref_rec, name), name
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_searches_match_frozen_references_on_large_tied_graphs(directed):
+    # weibull(150) costs underflow to many zero-cost ties; at n = 2000 they
+    # reach Spira's queue as well as fb_sssp's
+    n = 2000
+    g = gen_complete(n, WeightModel("weibull", seed=2003, shape=150.0),
+                     directed=directed)
+    for source in (0, n // 2, n - 1):
+        ref_rec, rec = FbRecording(), FbRecording()
+        for (ref_tree, ref_stats), (tree, stats) in (
+                (reference_fb_sssp(g, source, ref_rec),
+                 fb_sssp(g, source, record=rec)),
+                (reference_spira(g, source), spira(g, source))):
+            np.testing.assert_array_equal(tree.parent, ref_tree.parent)
+            np.testing.assert_array_equal(tree.dist, ref_tree.dist)
+            assert stats.as_dict() == ref_stats.as_dict()
+        for name in _RECORDING_LISTS:
+            assert getattr(rec, name) == getattr(ref_rec, name), name
+
+
 def test_weibull_reference_graph_has_zero_cost_ties():
     # the weibull(150) case above exercises ties only if costs underflow
     g = gen_complete(200, WeightModel("weibull", seed=205, shape=150.0))
