@@ -18,8 +18,10 @@ A search or a fast verifier reads only a few entries at the head of most
 rows, so :func:`gen_complete` holds only a prefix of each row: its first
 K = min(n - 1, ceil(8 (ln n)^p)) entries, p = 1 but for Weibull shapes
 below 1 (:func:`_prefix_length`), or the whole row where the K-th and the
-(K+1)-th costs tie.  Such a graph costs O(n^2) hashes but only O(n K)
-memory and sorting.  The readers of the row heads (the search loop of
+(K+1)-th costs tie.  Such a graph hashes each cost once, n(n - 1) hashes
+when directed and half as many when not, but turns only O(n K) of them
+into costs, and holds and sorts only O(n K) cells
+(:func:`_hashed_heads`).  The readers of the row heads (the search loop of
 :mod:`fbsp.sssp`, the windows of :mod:`fbsp.verify` and
 :mod:`fbsp.oracle`) read :meth:`SortedDigraph.rows`; one that would read
 past the end of an incomplete row raises :class:`RowOverflow`, and
@@ -228,14 +230,45 @@ _STRIP = 64
 # gen_complete holds the first ceil(_PREFIX_LOGS * (ln n)^p) entries of a
 # row (see _prefix_length); any positive value gives the same results.
 _PREFIX_LOGS = 8.0
+# gen_complete keeps as candidates the cells whose hash lets in about
+# m = _CANDIDATES * (K + 1) cells of a row, and holds up to
+# m + _SPREAD * (sqrt(m) + 1) of them, which a row almost never passes (see
+# _hashed_heads); a row short of K + 1 or past the table is built alone.
+_CANDIDATES = 1.5
+_SPREAD = 5.0
 
 
-def _row_blocks(n: int):
+def _row_blocks(n: int, width: Optional[int] = None):
     """Consecutive row ranges (r0, r1) covering [0, n), about _BLOCK_CELLS
-    cells each."""
-    h = max(1, _BLOCK_CELLS // n)
+    cells each, of rows ``width`` cells wide (n by default)."""
+    h = max(1, _BLOCK_CELLS // (width or n))
     for r0 in range(0, n, h):
         yield r0, min(r0 + h, n)
+
+
+def _hash(z: np.ndarray, offset: np.uint64) -> np.ndarray:
+    """The hashes of the uint64 counters ``z`` in the stream at ``offset``,
+    in place; returns ``z``."""
+    z *= _GOLDEN
+    z += offset
+    _mix64(z)
+    return z
+
+
+def _uniform_costs(u: np.ndarray, model: WeightModel, out: np.ndarray) -> None:
+    """The costs of the 53-bit integer uniforms ``u`` into ``out``, float64
+    of u's shape: u / 2^53 transformed to the law of ``model``, a
+    non-decreasing function of u.  An overflowing Weibull cost is +inf."""
+    out[:] = u
+    out *= 2.0 ** -53  # a uniform on [0, 1)
+    if model.kind == UNIFORM:
+        return
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)  # Exp(1), never -0.0
+    if model.kind == WEIBULL:
+        with np.errstate(over="ignore"):
+            out **= model.shape
 
 
 def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
@@ -254,20 +287,10 @@ def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
              + np.arange(0, n * n, n, dtype=np.uint64)).ravel()
     else:
         z = np.arange(r0 * n, r1 * n, dtype=np.uint64)
-    z *= _GOLDEN
-    z += offset
-    _mix64(z)
+    _hash(z, offset)
     z >>= 11
-    out[:] = z
-    out *= 2.0 ** -53  # the top 53 bits as a uniform on [0, 1)
-    if model.kind == UNIFORM:
-        return
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    np.negative(out, out=out)  # Exp(1), never -0.0
+    _uniform_costs(z, model, out)
     if model.kind == WEIBULL:
-        with np.errstate(over="ignore"):
-            out **= model.shape
         bad = np.isinf(out)
         bad[r0::n + 1] = False  # the diagonal is no edge
         if bad.any():
@@ -322,35 +345,13 @@ def _sort_rows(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
         costs[i] = w[i, order]
 
 
-def _sort_prefixes(w: np.ndarray, keys: np.ndarray, ends: np.ndarray,
-                   costs: np.ndarray) -> np.ndarray:
-    """Sort the first k entries of each full cost row of ``w``, +inf on the
-    diagonal, by (cost, vertex) into the (h, k) arrays ``ends`` and
-    ``costs``; ``keys`` is uint64 scratch of w's shape.  Returns the rows
-    whose k-th and (k+1)-th entries may tie, whose heads are not known.
-
-    A partition of the :func:`_row_keys` at k puts the k + 1 smallest keys
-    first; the k smallest are sorted and their costs gathered, and a head
-    whose costs then are not strictly increasing is re-sorted stably.
-    """
-    k = ends.shape[1]
-    vertex_mask = _row_keys(w, keys)
-    keys.partition(k, axis=1)
-    head = keys[:, :k]
-    head.sort(axis=1)
-    head &= vertex_mask
-    ends[:] = head
-    head += np.arange(0, w.size, w.shape[1], dtype=np.uint64)[:, None]
-    np.take(w.ravel(), head.view(np.int64), out=costs, mode="clip")
-    for i in np.flatnonzero((costs[:, 1:] <= costs[:, :-1]).any(axis=1)):
-        v = np.sort(ends[i])
-        order = np.argsort(w[i, v], kind="stable")
-        ends[i] = v[order]
-        costs[i] = w[i, v[order]]
-    # a cell past the head has a key of at least the (k+1)-th, so a cost of
-    # at least that key with its vertex bits cleared
-    floor = (keys[:, k] & ~vertex_mask).view(np.float64)
-    return np.flatnonzero(~(floor > costs[:, -1]))
+def _held_whole(kth: np.ndarray, floor: np.ndarray, n: int) -> np.ndarray:
+    """Whether rows of ``n`` - 1 cells may tie at the cut and are held
+    whole: whether ``floor``, at most each row's (k+1)-th cost, is not
+    above its k-th cost ``kth`` once the low bits that :func:`_row_keys`
+    gives the vertex are cleared from it."""
+    vertex_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    return ~((floor.view(np.uint64) & ~vertex_mask).view(np.float64) > kth)
 
 
 def _prefix_rows(ends: np.ndarray, costs: np.ndarray, whole: dict) -> Rows:
@@ -375,34 +376,141 @@ def _prefix_rows(ends: np.ndarray, costs: np.ndarray, whole: dict) -> Rows:
     return Rows(ptr, flat_ends, flat_costs, complete)
 
 
-def _prefix_graph(n: int, k: int, directed: bool, fill, dense) -> SortedDigraph:
+def _hashed_heads(n: int, k: int, model: WeightModel, directed: bool,
+                  offset: np.uint64) -> list:
+    """The heads of the rows of :func:`gen_complete`: for the out-rows, then
+    the in-rows if ``directed``, the (n, k) arrays ``ends`` and ``costs`` of
+    each row's first k entries and ``redo``, the rows they do not give.
+
+    Each cost off the diagonal is hashed once, an undirected pair's in its
+    row u < v.  A cell's key is its hash with the low bits (at least the 11
+    below its 53-bit integer uniform) replaced by the other end; keys order
+    a row like its costs, which do not decrease with the uniform.  A cell
+    whose hash lies below a threshold is a candidate of both of its rows,
+    and a row's k smallest candidates are its head, unless the row has at
+    most k candidates, or more than its table holds.  Only the heads and
+    the floor of each row's (k+1)-th key (its uniform with the vertex bits
+    cleared) become costs.  A head is kept where :func:`_held_whole` says no
+    on the floor's cost, which is at most the (k+1)-th cost: a sort of the
+    row's costs then gives the same head and the same verdict.  Apart
+    from the results and the table of candidates, no array holds more than
+    about a block of cells, which keeps the memory that a build leaves to
+    the allocator small.  Raises :class:`GraphError` if a cost off the
+    diagonal is not finite.
+    """
+    sides = 2 if directed else 1
+    shape = (sides, n, k)
+    costs = np.empty(shape)  # the larger array first, should it not fit
+    ends = np.empty(shape, dtype=np.int32)
+    # each row's candidates, padded with keys that sort last
+    m = _CANDIDATES * (k + 1)
+    width = min(n, max(k + 1, math.ceil(m + _SPREAD * (math.sqrt(m) + 1))))
+    low = np.uint64((1 << max(11, (n - 1).bit_length())) - 1)
+    high, last = ~low, ~np.uint64(0)
+    table = np.full((sides, n, width), last)
+    count = np.zeros((sides, n), dtype=np.int64)
+    t = np.uint64(min(2 ** 64 - 1, int(math.ldexp(m / (n - 1), 64)))) & high
+    size, vertex = np.uint64(n), np.min_scalar_type(n - 1)
+    found, held = [], 0  # the candidates not yet in the table
+    top = np.uint64(0)  # the largest hash off the diagonal
+    for r0, r1 in _row_blocks(n):
+        c0 = 0 if directed else r0  # a pair u < v is hashed in row u
+        w = n - c0
+        z = _hash(np.arange(r0, r1, dtype=np.uint64)[:, None] * size
+                  + np.arange(c0, n, dtype=np.uint64), offset)
+        i = np.arange(r1 - r0)  # the diagonal, and when undirected v < u
+        skip = (i, r0 + i) if directed else np.tril_indices(r1 - r0, 0, w)
+        if model.kind == WEIBULL:
+            z[skip] = 0
+            top = z.max(initial=top)
+        z[skip] = last  # sorts last, and is no candidate
+        at = np.flatnonzero(z < t)
+        row, column = np.divmod(at, w)
+        found.append((z.ravel()[at] & high, (row + r0).astype(vertex),
+                      (column + c0).astype(vertex)))
+        held += at.size
+        if held < _BLOCK_CELLS and r1 < n:
+            continue
+        bits, u, v = (np.concatenate(x) for x in zip(*found))
+        found, held = [], 0
+        rows = [(u, v), (v, u)]  # (row, end) in the out-rows, in the in-rows
+        if not directed:  # a pair is a candidate of row u and of row v
+            bits, rows = np.tile(bits, 2), [(np.concatenate((u, v)),
+                                             np.concatenate((v, u)))]
+        for d, (mine, other) in enumerate(rows):
+            order = np.argsort(mine, kind="stable")
+            mine = mine[order]
+            new = np.bincount(mine, minlength=n)
+            # the i-th goes to slot i, less where its row's run starts, plus
+            # the candidates that its row already holds
+            shift = count[d] + new - np.cumsum(new)
+            slot = np.arange(mine.size) + shift[mine]
+            fits = slot < width
+            table[d, mine[fits], slot[fits]] = (bits | other)[order][fits]
+            count[d] += new
+    if model.kind == WEIBULL:  # costs do not decrease with the hash
+        cost = np.empty(1)
+        _uniform_costs(np.array([top >> np.uint64(11)]), model, cost)
+        if np.isinf(cost[0]):
+            raise GraphError(_NOT_FINITE)
+    # the rows with at most k candidates, or more than their table holds
+    redo = (count <= k) | (count > width)
+    for d in range(sides):
+        for r0, r1 in _row_blocks(n, width):
+            keys = table[d, r0:r1]
+            keys.partition(k, axis=1)
+            head = keys[:, :k]
+            head.sort(axis=1)
+            head &= low
+            me = np.arange(r0, r1, dtype=np.uint64)[:, None]
+            if not directed:
+                cells = np.minimum(me, head) * size + np.maximum(me, head)
+            else:
+                cells = head * size + me if d else me * size + head
+            e, c = ends[d, r0:r1], costs[d, r0:r1]
+            e[:] = head
+            _uniform_costs(_hash(cells, offset) >> np.uint64(11), model, c)
+            for i in np.flatnonzero((c[:, 1:] <= c[:, :-1]).any(axis=1)):
+                order = np.lexsort((e[i], c[i]))  # by (cost, vertex)
+                e[i], c[i] = e[i, order], c[i, order]
+            floor = np.empty(r1 - r0)  # the least cost past the head
+            _uniform_costs((keys[:, k] & high) >> np.uint64(11), model, floor)
+            redo[d, r0:r1] |= _held_whole(c[:, -1], floor, n)
+    return list(zip(ends, costs, map(np.flatnonzero, redo)))
+
+
+def _prefix_graph(n: int, k: int, directed: bool, fill, dense,
+                  heads=None) -> SortedDigraph:
     """The complete graph on ``n`` vertices whose costs ``fill`` writes, as
     the first ``k`` < n - 1 entries of each row, or the whole row where the
     k-th and (k+1)-th tie.  ``fill(r0, r1, out, columns)`` writes rows
     r0..r1-1 of the cost matrix, or its columns (the in-rows) if
     ``columns``, as :func:`_dense_graph` asks for them; ``dense()`` builds
-    the graph whole.
+    the graph whole.  ``heads``, as :func:`_hashed_heads` gives them, are
+    the rows of each direction but its ``redo``; any other row is sorted
+    from its costs.
     """
-    shape = (2 if directed else 1, n, k)
-    costs = np.empty(shape)  # the larger array first, should it not fit
-    ends = np.empty(shape, dtype=np.int32)
-    h = max(1, _BLOCK_CELLS // n)
-    full = np.empty(h * n)
-    keys = np.empty(h * n, dtype=np.uint64)
+    full = np.empty(n)
+    w = full.reshape(1, n)
+    keys = np.empty((1, n), dtype=np.uint64)
     rows = []
-    for d in range(shape[0]):  # the out-rows, then the in-rows
+    for d in range(2 if directed else 1):  # the out-rows, then the in-rows
+        if heads is None:
+            ends, costs, redo = (np.empty((n, k), dtype=np.int32),
+                                 np.empty((n, k)), range(n))
+        else:
+            ends, costs, redo = heads[d]
         whole = {}
-        for r0, r1 in _row_blocks(n):
-            block = full[:(r1 - r0) * n]
-            fill(r0, r1, block, d == 1)
-            block[r0::n + 1] = np.inf  # the diagonal sorts last
-            w = block.reshape(-1, n)
-            kb = keys[:block.size].reshape(-1, n)
-            for i in _sort_prefixes(w, kb, ends[d, r0:r1], costs[d, r0:r1]):
-                e, c = np.empty((1, n - 1), dtype=np.int32), np.empty((1, n - 1))
-                _sort_rows(w[i:i + 1], kb[i:i + 1], e, c)
-                whole[r0 + i] = e[0], c[0]
-        rows.append(_prefix_rows(ends[d], costs[d], whole))
+        for r in redo:
+            fill(r, r + 1, full, d == 1)
+            full[r] = np.inf  # the diagonal sorts last
+            e, c = np.empty((1, n - 1), dtype=np.int32), np.empty((1, n - 1))
+            _sort_rows(w, keys, e, c)
+            if _held_whole(c[:, k - 1], c[:, k], n)[0]:
+                whole[r] = e[0], c[0]
+            else:
+                ends[r], costs[r] = e[0, :k], c[0, :k]
+        rows.append(_prefix_rows(ends, costs, whole))
     return SortedDigraph._prefixes(n, directed, rows[0], rows[-1], dense)
 
 
@@ -427,7 +535,8 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     k = _prefix_length(n, model)
     if k == n - 1:
         return dense()
-    return _prefix_graph(n, k, directed, fill, dense)
+    return _prefix_graph(n, k, directed, fill, dense,
+                         _hashed_heads(n, k, model, directed, offset))
 
 
 def _prefix_length(n: int, model: WeightModel) -> int:

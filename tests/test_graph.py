@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import fbsp.graph
 from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
                         SortedDigraph, WeightModel, _dense_graph,
                         _prefix_graph, _prefix_length, _sort_rows,
                         build_sorted_adjacency,
                         from_cost_matrix, gen_complete, load, save)
-from helpers import cost_matrix
+from helpers import cost_matrix, reference_prefix_rows
 
 
 def check_invariants(graph: SortedDigraph) -> None:
@@ -562,3 +563,105 @@ def test_one_overflowing_cost_past_every_prefix_is_rejected():
     assert np.isinf(costs).sum() == 1
     with pytest.raises(GraphError, match="overflows"):
         gen_complete(40, model)
+
+
+def test_one_overflowing_pair_cost_past_every_prefix_is_rejected():
+    # the undirected twin: one pair cost overflows, the largest of both of
+    # its rows, so it lies in no prefix
+    model = WeightModel("weibull", seed=12, shape=300.0)
+    u, v = np.triu_indices(40, 1)
+    with np.errstate(over="ignore"):
+        costs = reference_costs(model, u * 40 + v)
+    assert np.isinf(costs).sum() == 1
+    with pytest.raises(GraphError, match="overflows"):
+        gen_complete(40, model, directed=False)
+
+
+def reference_matrix(n, model, directed):
+    """The n*n cost matrix of the frozen reference costs, diagonal
+    included."""
+    u, v = np.divmod(np.arange(n * n), n)
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    return reference_costs(model, u * n + v).reshape(n, n)
+
+
+def assert_rows_equal(graph, rows):
+    """``graph``'s (out-rows, in-rows) equal ``rows`` field by field, dtypes
+    included."""
+    for outgoing, expected in zip((True, False), rows):
+        for a, b in zip(graph.rows(outgoing), expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+PREFIX_MODELS = [("exp", None), ("uniform", None), ("weibull", 3.0),
+                 ("weibull", 0.5), ("weibull", 150.0)]
+
+
+# K = 1 on every model; K = 1, 2 and 3 at n = 17, 300 and 2049 (3, 10 and
+# 18 for weibull(0.5)); and the default K, n - 1 at n = 17, 46 and 62 at
+# n = 300 and 2049 (261 and 466 for weibull(0.5)); 2049 is past the 11 key
+# bits below the uniform
+@pytest.mark.parametrize("logs", [1e-300, 0.3, 8.0])
+@pytest.mark.parametrize("n", [17, 300, 2049])
+@pytest.mark.parametrize("kind,shape", PREFIX_MODELS)
+@pytest.mark.parametrize("directed", [True, False])
+def test_prefix_rows_match_the_frozen_cost_path(logs, n, kind, shape,
+                                                directed, monkeypatch):
+    monkeypatch.setattr(fbsp.graph, "_PREFIX_LOGS", logs)
+    model = WeightModel(kind, seed=n + 5, shape=shape)
+    k = _prefix_length(n, model)
+    expected = reference_prefix_rows(reference_matrix(n, model, directed), k,
+                                     directed)
+    assert_rows_equal(gen_complete(n, model, directed), expected)
+
+
+# a row the candidates do not give is hashed alone and sorted from its costs:
+# most rows have at most K candidates when a row takes in about K/2 of them,
+# most have more than their table holds when it holds 3 standard deviations
+# below their mean, and at K = 1 the two smallest costs of many weibull(150)
+# rows tie at 0.0, which fails the cut rule and holds the row whole
+@pytest.mark.parametrize("candidates,spread,logs,kind,shape", [
+    (0.5, 5.0, 8.0, "exp", None), (1.5, -3.0, 8.0, "uniform", None),
+    (20.0, 5.0, 1e-300, "weibull", 150.0)])
+@pytest.mark.parametrize("directed", [True, False])
+def test_rows_the_candidates_do_not_give_are_sorted_from_their_costs(
+        candidates, spread, logs, kind, shape, directed, monkeypatch):
+    alone = []
+    block_costs = fbsp.graph._block_costs
+
+    def counting_block_costs(n, r0, r1, *args, **kwargs):
+        alone.append(r1 - r0)
+        return block_costs(n, r0, r1, *args, **kwargs)
+
+    monkeypatch.setattr(fbsp.graph, "_block_costs", counting_block_costs)
+    monkeypatch.setattr(fbsp.graph, "_CANDIDATES", candidates)
+    monkeypatch.setattr(fbsp.graph, "_SPREAD", spread)
+    monkeypatch.setattr(fbsp.graph, "_PREFIX_LOGS", logs)
+    model = WeightModel(kind, seed=3, shape=shape)
+    g = gen_complete(300, model, directed)
+    assert len(alone) > 10 and set(alone) == {1}
+    assert g.rows().complete.any() == (kind == "weibull")
+    expected = reference_prefix_rows(reference_matrix(300, model, directed),
+                                     _prefix_length(300, model), directed)
+    assert_rows_equal(g, expected)
+
+
+def test_a_directed_build_transforms_only_the_heads(monkeypatch):
+    # the heads and the (K+1)-th floor of each row, and the few rows hashed
+    # alone: about 2 n K cells, not the 2 n^2 of every out-row and in-row
+    seen = []
+    log1p = np.log1p
+
+    def counting_log1p(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counting_log1p)
+    n = 2000
+    model = WeightModel(EXPONENTIAL, seed=1)
+    g = gen_complete(n, model)
+    monkeypatch.undo()
+    assert not g.completed
+    assert 0 < sum(seen) <= 4 * n * _prefix_length(n, model)
