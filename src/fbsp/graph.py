@@ -26,16 +26,19 @@ into costs, and holds and sorts only O(n K) cells
 :mod:`fbsp.oracle`) read :meth:`SortedDigraph.rows`; one that would read
 past the end of an incomplete row raises :class:`RowOverflow`, and
 :func:`restarts` completes the graph and makes the call again.  Completing
-runs the dense builder, which pays for all n(n - 1) sorted entries.  The
-CSR arrays (``out_ptr``, ``out_to``, ...), ``out_edges``/``in_edges``,
-``==`` and :func:`save` complete the graph first, so ``dijkstra``,
-``verify_full`` and every array reader see the dense graph, byte for byte.
+runs the same row builder with K = n - 1 (:func:`_build`), which pays for
+all n(n - 1) sorted entries and hashes a directed cost twice, in its row
+and in its column.  The CSR arrays (``out_ptr``, ``out_to``, ...),
+``out_edges``/``in_edges``, ``==`` and :func:`save` complete the graph
+first, so ``dijkstra``, ``verify_full`` and every array reader see the
+dense graph, byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import zipfile
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Tuple
@@ -178,8 +181,8 @@ class SortedDigraph:
         return self._dense is None
 
     def complete(self) -> "SortedDigraph":
-        """Hold every row whole, from the dense builder, and drop the
-        prefixes; returns the graph."""
+        """Hold every row whole, from the row builder with K = n - 1, and
+        drop the prefixes; returns the graph."""
         if self._dense is not None:
             self._out = self._in = None  # free the prefixes for the build
             dense = self._dense()  # if this raises, the next read retries
@@ -224,9 +227,6 @@ _NOT_FINITE = "an edge cost overflows float64; use a smaller shape"
 # enough for the block's temporaries to stay in cache, and large enough
 # that a block's numpy calls cost little next to its work.
 _BLOCK_CELLS = 2 ** 15
-# A directed graph's in-lists are cut from strips of this many out-list
-# columns, transposed.
-_STRIP = 64
 # gen_complete holds the first ceil(_PREFIX_LOGS * (ln n)^p) entries of a
 # row (see _prefix_length); any positive value gives the same results.
 _PREFIX_LOGS = 8.0
@@ -272,8 +272,7 @@ def _uniform_costs(u: np.ndarray, model: WeightModel, out: np.ndarray) -> None:
 
 
 def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
-                 offset: np.uint64, out: np.ndarray,
-                 columns: bool = False) -> None:
+                 offset: np.uint64, out: np.ndarray, columns: bool) -> None:
     """Costs of rows r0..r1-1 of the n*n cost matrix, or of its columns
     r0..r1-1 if ``columns``, into the flat ``out``, diagonal included: the
     edge (u, v) has counter u*n + v, or min*n + max when undirected.
@@ -295,18 +294,6 @@ def _block_costs(n: int, r0: int, r1: int, model: WeightModel, directed: bool,
         bad[r0::n + 1] = False  # the diagonal is no edge
         if bad.any():
             raise GraphError(_NOT_FINITE)
-
-
-def _off_diagonal(full: np.ndarray, r0: int, n: int, rows: np.ndarray):
-    """Pairs of views that hold the same cells, in order: of ``full``, the
-    flat rows r0.. of an n*n matrix (the diagonal at r0 + i*(n+1)), and of
-    ``rows``, the same rows flat without their diagonal."""
-    h = full.size // n
-    mid = (h - 1) * n
-    return ((full[:r0], rows[:r0]),
-            (full[r0 + 1:r0 + 1 + mid + h - 1].reshape(h - 1, n + 1)[:, :n],
-             rows[r0:r0 + mid].reshape(h - 1, n)),
-            (full[r0 + mid + h:], rows[r0 + mid:]))
 
 
 def _row_keys(w: np.ndarray, keys: np.ndarray) -> np.uint64:
@@ -356,9 +343,10 @@ def _held_whole(kth: np.ndarray, floor: np.ndarray, n: int) -> np.ndarray:
 
 def _prefix_rows(ends: np.ndarray, costs: np.ndarray, whole: dict) -> Rows:
     """The rows of the (n, k) sorted prefixes ``ends`` and ``costs``, with
-    the rows in ``whole``, {row: (ends, costs)}, held whole instead."""
+    the rows in ``whole``, {row: (ends, costs)}, held whole instead; all of
+    them are whole if k = n - 1."""
     n, k = ends.shape
-    complete = np.zeros(n, dtype=bool)
+    complete = np.full(n, k == n - 1)
     if not whole:
         return Rows(np.arange(n + 1, dtype=np.int64) * k, ends.ravel(),
                     costs.ravel(), complete)
@@ -399,12 +387,12 @@ def _hashed_heads(n: int, k: int, model: WeightModel, directed: bool,
     diagonal is not finite.
     """
     sides = 2 if directed else 1
-    shape = (sides, n, k)
-    costs = np.empty(shape)  # the larger array first, should it not fit
-    ends = np.empty(shape, dtype=np.int32)
-    # each row's candidates, padded with keys that sort last
     m = _CANDIDATES * (k + 1)
     width = min(n, max(k + 1, math.ceil(m + _SPREAD * (math.sqrt(m) + 1))))
+    _check_fits(sides * n * (12 * k + 8 * width))
+    costs = np.empty((sides, n, k))  # the larger first, should it not fit
+    ends = np.empty((sides, n, k), dtype=np.int32)
+    # each row's candidates, padded with keys that sort last
     low = np.uint64((1 << max(11, (n - 1).bit_length())) - 1)
     high, last = ~low, ~np.uint64(0)
     table = np.full((sides, n, width), last)
@@ -479,39 +467,68 @@ def _hashed_heads(n: int, k: int, model: WeightModel, directed: bool,
     return list(zip(ends, costs, map(np.flatnonzero, redo)))
 
 
-def _prefix_graph(n: int, k: int, directed: bool, fill, dense,
-                  heads=None) -> SortedDigraph:
-    """The complete graph on ``n`` vertices whose costs ``fill`` writes, as
-    the first ``k`` < n - 1 entries of each row, or the whole row where the
-    k-th and (k+1)-th tie.  ``fill(r0, r1, out, columns)`` writes rows
-    r0..r1-1 of the cost matrix, or its columns (the in-rows) if
-    ``columns``, as :func:`_dense_graph` asks for them; ``dense()`` builds
-    the graph whole.  ``heads``, as :func:`_hashed_heads` gives them, are
-    the rows of each direction but its ``redo``; any other row is sorted
-    from its costs.
+def _build(n: int, directed: bool, fill, k: int, heads=None,
+           dense=None) -> SortedDigraph:
+    """The complete graph on ``n`` vertices whose cost matrix ``fill``
+    writes, as the first ``k`` entries of each row, or the whole row where
+    the k-th and (k+1)-th may tie, or every row whole if k = n - 1.
+    ``fill(r0, r1, out, columns)`` writes rows r0..r1-1, or columns r0..r1-1
+    (the in-rows) if ``columns``, diagonal included (and ignored), into the
+    flat array ``out``.  Off the diagonal the costs must be non-negative and
+    never -0.0, and symmetric if the graph is undirected.  ``heads``, as
+    :func:`_hashed_heads` gives them, are the rows of each direction but its
+    ``redo``, which alone are filled; ``dense()`` builds the graph whole.
+    Raises :class:`GraphError` if a cost is not finite.
     """
-    full = np.empty(n)
-    w = full.reshape(1, n)
-    keys = np.empty((1, n), dtype=np.uint64)
+    if n < 1:
+        raise GraphError("graph must have at least one vertex")
+    sides = 2 if directed else 1  # undirected: the in-rows are the out-rows
+    _check_fits(sides * n * k * 12)
+    h = max(1, _BLOCK_CELLS // n)
+    full = np.empty(h * n)
+    keys = np.empty((h, n), dtype=np.uint64)
     rows = []
-    for d in range(2 if directed else 1):  # the out-rows, then the in-rows
+    for d in range(sides):  # the out-rows, then the in-rows
         if heads is None:
-            ends, costs, redo = (np.empty((n, k), dtype=np.int32),
-                                 np.empty((n, k)), range(n))
+            ends, costs = np.empty((n, k), dtype=np.int32), np.empty((n, k))
+            blocks = _row_blocks(n)
         else:
             ends, costs, redo = heads[d]
+            blocks = ((r, r + 1) for r in redo)
         whole = {}
-        for r in redo:
-            fill(r, r + 1, full, d == 1)
-            full[r] = np.inf  # the diagonal sorts last
-            e, c = np.empty((1, n - 1), dtype=np.int32), np.empty((1, n - 1))
-            _sort_rows(w, keys, e, c)
-            if _held_whole(c[:, k - 1], c[:, k], n)[0]:
-                whole[r] = e[0], c[0]
-            else:
-                ends[r], costs[r] = e[0, :k], c[0, :k]
+        for r0, r1 in blocks:
+            block = full[:(r1 - r0) * n]
+            fill(r0, r1, block, d == 1)
+            block[r0::n + 1] = np.inf  # the diagonal sorts last
+            if k == n - 1:  # sort straight into the rows
+                e, c = ends[r0:r1], costs[r0:r1]
+            else:  # sort whole rows, then cut them
+                e = np.empty((r1 - r0, n - 1), dtype=np.int32)
+                c = np.empty((r1 - r0, n - 1))
+            _sort_rows(block.reshape(-1, n), keys[:r1 - r0], e, c)
+            if k < n - 1:
+                ends[r0:r1], costs[r0:r1] = e[:, :k], c[:, :k]
+                for i in np.flatnonzero(_held_whole(c[:, k - 1], c[:, k], n)):
+                    whole[r0 + i] = e[i].copy(), c[i].copy()
         rows.append(_prefix_rows(ends, costs, whole))
     return SortedDigraph._prefixes(n, directed, rows[0], rows[-1], dense)
+
+
+def _check_fits(size: int) -> None:
+    """Raise :class:`GraphError` if a build that holds ``size`` bytes could
+    never fit in the host's physical memory."""
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise GraphError(f"the graph needs {size / 2 ** 30:.1f} GiB, more "
+                         f"than the {memory / 2 ** 30:.1f} GiB of memory")
+
+
+def _physical_memory() -> Optional[int]:
+    """The host's physical memory in bytes, or None if it is not known."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDigraph:
@@ -521,22 +538,23 @@ def gen_complete(n: int, model: WeightModel, directed: bool = True) -> SortedDig
     undirected graph, the n(n-1)/2 pair costs are mirrored).  The result is a
     pure function of (n, model.kind, model.shape, model.seed, directed).
     The graph holds row prefixes until it is completed (see the module
-    docstring).  Raises :class:`GraphError` if a cost is not finite.
+    docstring).  Raises :class:`GraphError` if a cost is not finite, or if
+    the graph could never fit in memory.
     """
     n = int(n)
     offset = _stream_offset(model.seed)
 
-    def fill(r0, r1, out, columns=False):
+    def fill(r0, r1, out, columns):
         _block_costs(n, r0, r1, model, directed, offset, out, columns)
 
     def dense():
-        return _dense_graph(n, directed, fill)
+        return _build(n, directed, fill, n - 1)
 
     k = _prefix_length(n, model)
     if k == n - 1:
         return dense()
-    return _prefix_graph(n, k, directed, fill, dense,
-                         _hashed_heads(n, k, model, directed, offset))
+    return _build(n, directed, fill, k,
+                  _hashed_heads(n, k, model, directed, offset), dense)
 
 
 def _prefix_length(n: int, model: WeightModel) -> int:
@@ -571,75 +589,12 @@ def from_cost_matrix(costs) -> SortedDigraph:
     if not ok.all():
         raise GraphError("edge costs must be finite and non-negative")
 
-    def fill(r0, r1, out):
+    def fill(r0, r1, out, columns):
+        cells = costs[:, r0:r1].T if columns else costs[r0:r1]
         # adding 0.0 turns -0.0, which _sort_rows' keys order last, into 0.0
-        np.add(costs[r0:r1], 0.0, out=out.reshape(r1 - r0, n))
+        np.add(cells, 0.0, out=out.reshape(r1 - r0, n))
 
-    return _dense_graph(n, True, fill)
-
-
-def _dense_graph(n: int, directed: bool, fill) -> SortedDigraph:
-    """The complete graph on ``n`` vertices whose cost matrix ``fill``
-    writes: ``fill(r0, r1, out)`` writes rows r0..r1-1, diagonal included
-    (and ignored), into the flat array ``out``, and is asked for each row
-    once.  Off the diagonal the costs must be non-negative and never -0.0,
-    and symmetric if the graph is undirected.  Raises :class:`GraphError` if
-    a cost is not finite.
-    """
-    if n < 1:
-        raise GraphError("graph must have at least one vertex")
-    deg = n - 1
-    # symmetric costs: an undirected graph's in-lists are its out-lists
-    shape = (2 if directed else 1, n, deg)
-    ends = np.empty(shape, dtype=np.int32)
-    costs = np.empty(shape, dtype=np.float64)
-    out_to, in_from, out_w, in_w = ends[0], ends[-1], costs[0], costs[-1]
-    h = max(1, _BLOCK_CELLS // n)
-    full = np.empty(max(h, _STRIP) * n)
-    keys = np.empty(h * n, dtype=np.uint64)
-    if directed and n > 1:
-        # every cost filled once, unsorted, into out_w
-        for r0, r1 in _row_blocks(n):
-            block = full[:(r1 - r0) * n]
-            fill(r0, r1, block)
-            rows = out_w[r0:r1].reshape(-1)
-            for src, dst in _off_diagonal(block, r0, n, rows):
-                dst[:] = src
-        # in-row v, cell u: the edge u -> v, which is cell v - (v > u) of
-        # out-row u; in the square where a strip meets its own out-rows,
-        # u = c0 + j and v = c0 + i, and the diagonal takes any valid cell
-        i = np.arange(_STRIP)
-        square_cell = i[:, None] - (i[:, None] >= i)
-        for c0 in range(0, n, _STRIP):
-            c1 = min(c0 + _STRIP, n)
-            s = c1 - c0
-            strip = full[:s * n].reshape(s, n)
-            if c0:
-                strip[:, :c0] = out_w[:c0, c0 - 1:c1 - 1].T
-            if c1 < n:
-                strip[:, c1:] = out_w[c1:, c0:c1].T
-            strip[:, c0:c1] = out_w[c0 + i[:s], c0 + square_cell[:s, :s]]
-            strip[i[:s], c0 + i[:s]] = np.inf  # the diagonal sorts last
-            for q0 in range(0, s, h):  # sort in blocks that stay in cache
-                q1 = min(q0 + h, s)
-                _sort_rows(strip[q0:q1], keys[:(q1 - q0) * n].reshape(-1, n),
-                           in_from[c0 + q0:c0 + q1], in_w[c0 + q0:c0 + q1])
-    for r0, r1 in _row_blocks(n):
-        block = full[:(r1 - r0) * n]
-        if directed:
-            rows = out_w[r0:r1].reshape(-1)
-            for dst, src in _off_diagonal(block, r0, n, rows):
-                dst[:] = src
-        else:
-            fill(r0, r1, block)
-        block[r0::n + 1] = np.inf  # the diagonal sorts last
-        _sort_rows(block.reshape(-1, n), keys[:block.size].reshape(-1, n),
-                   out_to[r0:r1], out_w[r0:r1])
-
-    ptr = np.arange(n + 1, dtype=np.int64) * deg
-    return SortedDigraph(n, directed, ptr, out_to.ravel(), out_w.ravel(),
-                         ptr.copy() if directed else ptr, in_from.ravel(),
-                         in_w.ravel())
+    return _build(n, True, fill, n - 1)
 
 
 def build_sorted_adjacency(edges: Iterable[Tuple[int, int, float]], n: int,

@@ -388,8 +388,9 @@ def test_infinite_costs_exit_1(capsys):
 
 
 def test_graph_too_large_for_memory_exits_1(capsys):
-    # the adjacency would need hundreds of TiB, beyond any address space,
-    # so the allocation is refused at once
+    # the row heads and the candidate table would need 74 GB: the build is
+    # refused before it hashes a cost where that is more than the host's
+    # memory, and by the allocator elsewhere
     assert main(["sssp", "--n", "10000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

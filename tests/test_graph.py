@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import fbsp.graph
-from fbsp.graph import (_BLOCK_CELLS, _STRIP, EXPONENTIAL, GraphError,
-                        SortedDigraph, WeightModel, _dense_graph,
-                        _prefix_graph, _prefix_length, _sort_rows,
+from fbsp.graph import (_BLOCK_CELLS, EXPONENTIAL, GraphError,
+                        SortedDigraph, WeightModel, _build,
+                        _prefix_length, _sort_rows,
                         build_sorted_adjacency,
                         from_cost_matrix, gen_complete, load, save)
 from helpers import cost_matrix, reference_prefix_rows
@@ -139,17 +139,20 @@ def test_reference_hash_is_splitmix64():
     assert first == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
-# 300 ends both a block of rows and a strip of columns short
+# 300 ends a block of rows short
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 200, 300])
 @pytest.mark.parametrize("kind,shape", [("exp", None), ("uniform", None),
                                         ("weibull", 0.5)])
 @pytest.mark.parametrize("directed", [True, False])
 def test_generator_matches_frozen_reference(n, kind, shape, directed):
     assert 300 % max(1, _BLOCK_CELLS // 300) != 0
-    assert 300 % _STRIP != 0
     model = WeightModel(kind, seed=3, shape=shape)
     assert gen_complete(n, model, directed) == \
         reference_gen_complete(n, model, directed)
+    # field by field, dtypes and complete flags included
+    expected = reference_prefix_rows(reference_matrix(n, model, directed),
+                                     n - 1, directed)
+    assert_rows_equal(gen_complete(n, model, directed).complete(), expected)
 
 
 # a key keeps the low (n-1).bit_length() bits for the vertex: 11 bits up to
@@ -225,10 +228,10 @@ def adversarial_matrix(n, seed):
     return m
 
 
-# 63..65 and 129 end a strip of columns just short, exactly and just past
+# a row key holds the vertex in its low (n-1).bit_length() bits: 6 at n = 63
+# and 64, 7 from n = 65 and 8 from n = 129; 300 ends a block of rows short
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 300])
 def test_matrix_graph_matches_edge_list_build(n):
-    assert _STRIP == 64
     weibull = cost_matrix(gen_complete(n, WeightModel("weibull", seed=3,
                                                       shape=150)))
     np.fill_diagonal(weibull, np.nan)
@@ -238,6 +241,9 @@ def test_matrix_graph_matches_edge_list_build(n):
         u, v = np.nonzero(~np.eye(n, dtype=bool))
         edges = zip(u.tolist(), v.tolist(), costs[u, v].tolist())
         assert from_cost_matrix(costs) == build_sorted_adjacency(edges, n)
+    for costs in (m + 0.0, m.T + 0.0):  # field by field, no -0.0
+        assert_rows_equal(from_cost_matrix(costs),
+                          reference_prefix_rows(costs, n - 1, True))
 
 
 def test_uniform_costs_in_unit_interval():
@@ -524,11 +530,34 @@ def test_prefix_build_cuts_ties_and_near_ties_like_the_dense_build(
         cells = m[:, r0:r1].T if columns and directed else m[r0:r1]
         np.add(cells, 0.0, out=out.reshape(r1 - r0, n))  # no -0.0
 
-    g = _prefix_graph(n, k, directed, fill, None)
-    dense = _dense_graph(n, directed, fill)
+    g = _build(n, directed, fill, k)
+    dense = _build(n, directed, fill, n - 1)
     for outgoing in (True, False):
         assert_heads(g.rows(outgoing), dense.rows(outgoing), k)
     assert n < 65 or g.rows().complete.any()
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_a_graph_that_could_never_fit_is_refused_before_it_is_hashed(
+        directed, monkeypatch):
+    def no_hash(*args):
+        raise AssertionError("a cost was hashed")
+
+    # n = 10^6 holds at least 1.3 GB of row heads; a completion at n = 2000
+    # holds 48 MB a direction
+    monkeypatch.setattr(fbsp.graph, "_physical_memory", lambda: 2 ** 30)
+    monkeypatch.setattr(fbsp.graph, "_hash", no_hash)
+    with pytest.raises(GraphError, match="memory"):
+        gen_complete(10 ** 6, WeightModel(EXPONENTIAL, seed=1), directed)
+    monkeypatch.undo()
+    g = gen_complete(2000, WeightModel(EXPONENTIAL, seed=1), directed)
+    monkeypatch.setattr(fbsp.graph, "_physical_memory", lambda: 2 ** 25)
+    monkeypatch.setattr(fbsp.graph, "_hash", no_hash)
+    with pytest.raises(GraphError, match="memory"):
+        g.complete()
+    monkeypatch.undo()
+    assert not g.completed
+    assert g.complete().rows().complete.all()  # the next completion builds
 
 
 def test_a_graph_completes_once_and_drops_its_prefixes():
